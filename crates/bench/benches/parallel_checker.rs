@@ -39,10 +39,9 @@ use std::time::{Duration, Instant};
 
 use cal_core::check::{check_cal_with, CheckOptions, CheckOutcome, Verdict};
 use cal_core::gen::render_loose;
-use cal_core::interval::{check_interval_par_with, check_interval_with};
+use cal_core::interval::check_interval_with;
 use cal_core::obs::{CountingSink, StatsSink};
-use cal_core::par::check_cal_par_with;
-use cal_core::seqlin::{check_linearizable_par_with, check_linearizable_with};
+use cal_core::seqlin::check_linearizable_with;
 use cal_core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal_core::{Action, History, ObjectId, ThreadId, Value};
 use cal_specs::exchanger::ExchangerSpec;
@@ -201,13 +200,9 @@ fn instrumented<W>(threads: usize, check: impl FnOnce(&CheckOptions) -> CheckOut
 }
 
 /// [`instrumented`] specialised to the parallel CAL checker.
-fn instrumented_stats<S>(h: &History, spec: &S, threads: usize) -> String
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn instrumented_stats<S: CaSpec>(h: &History, spec: &S, threads: usize) -> String {
     instrumented(threads, |options| {
-        check_cal_par_with(h, spec, options).expect("instrumented run")
+        check_cal_with(h, spec, options).expect("instrumented run")
     })
 }
 
@@ -234,7 +229,7 @@ fn bench_refute_last() -> Series {
 
     let par_options = CheckOptions { threads: THREADS, ..CheckOptions::default() };
     let par = measure(|| {
-        let out = check_cal_par_with(&h, &spec, &par_options).unwrap();
+        let out = check_cal_with(&h, &spec, &par_options).unwrap();
         assert!(matches!(out.verdict, Verdict::NotCal));
     });
 
@@ -249,7 +244,7 @@ fn bench_all_cal() -> Series {
 
     let par_options = CheckOptions { threads: THREADS, ..CheckOptions::default() };
     let par = measure(|| {
-        let out = check_cal_par_with(&h, &spec, &par_options).unwrap();
+        let out = check_cal_with(&h, &spec, &par_options).unwrap();
         assert!(matches!(out.verdict, Verdict::Cal(_)));
     });
 
@@ -268,7 +263,7 @@ fn bench_frontier() -> Series {
 
     let par_options = CheckOptions { threads: THREADS, ..CheckOptions::default() };
     let par = measure(|| {
-        let out = check_cal_par_with(&h, &spec, &par_options).unwrap();
+        let out = check_cal_with(&h, &spec, &par_options).unwrap();
         assert!(matches!(out.verdict, Verdict::NotCal));
     });
 
@@ -301,12 +296,12 @@ fn bench_seqlin() -> Series {
 
     let par_options = CheckOptions { threads: THREADS, ..CheckOptions::default() };
     let par = measure(|| {
-        let out = check_linearizable_par_with(&h, &spec, &par_options).unwrap();
+        let out = check_linearizable_with(&h, &spec, &par_options).unwrap();
         assert!(matches!(out.verdict, Verdict::Cal(_)));
     });
 
     let stats = instrumented(THREADS, |o| {
-        check_linearizable_par_with(&h, &spec, o).expect("instrumented run")
+        check_linearizable_with(&h, &spec, o).expect("instrumented run")
     });
     Series::new("seqlin/frontier-stack-8", seq, par, stats)
 }
@@ -323,12 +318,12 @@ fn bench_interval() -> Series {
 
     let par_options = CheckOptions { threads: THREADS, ..CheckOptions::default() };
     let par = measure(|| {
-        let out = check_interval_par_with(&h, &spec, &par_options).unwrap();
+        let out = check_interval_with(&h, &spec, &par_options).unwrap();
         assert!(matches!(out.verdict, Verdict::NotCal));
     });
 
     let stats = instrumented(THREADS, |o| {
-        check_interval_par_with(&h, &spec, o).expect("instrumented run")
+        check_interval_with(&h, &spec, o).expect("instrumented run")
     });
     Series::new("interval/disjoint-views-6", seq, par, stats)
 }

@@ -7,8 +7,7 @@ use std::time::{Duration, Instant};
 
 use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, CheckStats, Verdict};
 use cal_core::dsl::SpecDef;
-use cal_core::par::check_cal_par_with;
-use cal_core::spec::{CaSpec, SeqAsCa};
+use cal_core::spec::SeqAsCa;
 use cal_core::{History, ObjectId, ThreadId};
 use cal_objects::hooks;
 use cal_objects::recorded::{
@@ -358,30 +357,16 @@ impl LiveTarget {
 
     fn check(&self, h: &History, options: CheckOptions) -> Result<CheckOutcome, CheckError> {
         match self {
-            LiveTarget::Exchanger(_) => dispatch(h, &ExchangerSpec::new(OBJ), &options),
+            LiveTarget::Exchanger(_) => check_cal_with(h, &ExchangerSpec::new(OBJ), &options),
             LiveTarget::Treiber(_) => {
-                dispatch(h, &SeqAsCa::new(StackSpec::total(OBJ)), &options)
+                check_cal_with(h, &SeqAsCa::new(StackSpec::total(OBJ)), &options)
             }
             LiveTarget::Elim(_) => {
-                dispatch(h, &SeqAsCa::new(StackSpec::failing(OBJ)), &options)
+                check_cal_with(h, &SeqAsCa::new(StackSpec::failing(OBJ)), &options)
             }
-            LiveTarget::Dual(_) => dispatch(h, &DualStackSpec::with_timeouts(OBJ), &options),
-            LiveTarget::Sync(_) => dispatch(h, &SyncQueueSpec::new(OBJ), &options),
+            LiveTarget::Dual(_) => check_cal_with(h, &DualStackSpec::with_timeouts(OBJ), &options),
+            LiveTarget::Sync(_) => check_cal_with(h, &SyncQueueSpec::new(OBJ), &options),
         }
-    }
-}
-
-/// Routes a check through the parallel checker when the config asks for
-/// more than one checker thread.
-fn dispatch<S>(h: &History, spec: &S, options: &CheckOptions) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_cal_par_with(h, spec, options)
-    } else {
-        check_cal_with(h, spec, options)
     }
 }
 
@@ -450,7 +435,7 @@ pub fn run_once(config: &RunConfig) -> RunOutcome {
     // A loaded `.cal` spec shadows the target's built-in one, same
     // policy as `cal-check --spec`.
     let result = match &config.spec {
-        Some(def) => dispatch(&history, &def.to_ca(OBJ), &config.check_options()),
+        Some(def) => check_cal_with(&history, &def.to_ca(OBJ), &config.check_options()),
         None => target.check(&history, config.check_options()),
     };
     let verdict = match result {

@@ -147,10 +147,17 @@ pub fn check_causal<S: CaSpec>(
 }
 
 /// Like [`check_causal`], with explicit [`CheckOptions`].
+/// [`CheckOptions::threads`] picks the driver; per-object decomposition is
+/// disabled under a genuinely partial order, so above one thread the
+/// parallel driver splits the root frontier across workers sharing one
+/// memo.
 ///
 /// # Errors
 ///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
+/// Returns [`CheckError::IllFormed`] if the history is not well-formed,
+/// [`CheckError::OrderMismatch`] if `hb` was built over a different
+/// number of operations, and [`CheckError::SpecPanicked`] if the
+/// specification panics.
 pub fn check_causal_with<S: CaSpec>(
     history: &History,
     spec: &S,
@@ -158,29 +165,7 @@ pub fn check_causal_with<S: CaSpec>(
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
     let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), hb.clone())?;
-    Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
-}
-
-/// Like [`check_causal_with`], on the engine's parallel driver. Per-object
-/// decomposition is disabled under a genuinely partial order, so the
-/// driver uses root-frontier splitting with a shared memo.
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_causal_par_with<S>(
-    history: &History,
-    spec: &S,
-    hb: &HbRelation,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), hb.clone())?;
-    Ok(engine::search_par(&domain, options)?.map_witness(steps_to_trace))
+    Ok(engine::search_threads(&domain, options)?.map_witness(steps_to_trace))
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is causally CAL
@@ -197,12 +182,7 @@ pub fn is_causal<S: CaSpec>(
     spec: &S,
     hb: &HbRelation,
 ) -> Result<bool, CheckError> {
-    let outcome = check_causal(history, spec, hb)?;
-    match outcome.verdict {
-        Verdict::Cal(_) => Ok(true),
-        Verdict::NotCal => Ok(false),
-        undecided => Err(CheckError::Undecided(undecided)),
-    }
+    check_causal(history, spec, hb)?.verdict.decided()
 }
 
 /// Validates a causal-mode witness: the specification must accept
@@ -369,8 +349,35 @@ mod tests {
         let hb = causal_order(&h, &[]).unwrap();
         for threads in [2, 4] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = check_causal_par_with(&h, &spec, &hb, &options).unwrap();
+            let outcome = check_causal_with(&h, &spec, &hb, &options).unwrap();
             assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
+        }
+    }
+
+    /// An order built over another history is a caller error naming both
+    /// sizes, in either direction — never an index panic blamed on the
+    /// spec, and never a silent decision.
+    #[test]
+    fn an_order_of_the_wrong_size_is_a_typed_error() {
+        let h = stale_read();
+        let spec = SeqAsCa::new(Register);
+        let one_op = History::from_actions(h.actions()[..2].to_vec());
+        let shorter = causal_order(&one_op, &[]).unwrap();
+        let three_ops = History::from_actions(
+            h.actions().iter().chain(&h.actions()[..2]).copied().collect::<Vec<_>>(),
+        );
+        let longer = HbRelation::real_time(&three_ops.spans());
+        for (hb, order) in [(shorter, 1), (longer, 3)] {
+            for threads in [1, 2] {
+                let options = CheckOptions { threads, ..CheckOptions::default() };
+                match check_causal_with(&h, &spec, &hb, &options) {
+                    Err(e @ CheckError::OrderMismatch { .. }) => {
+                        assert_eq!(e, CheckError::OrderMismatch { order, history: 2 });
+                        assert!(e.to_string().contains(&format!("covers {order} operations")));
+                    }
+                    other => panic!("order of {order} ops: expected OrderMismatch, got {other:?}"),
+                }
+            }
         }
     }
 }

@@ -16,15 +16,20 @@
 //! This module is a thin *domain* over the shared search kernel
 //! ([`crate::engine`]): `CalDomain` enumerates candidate CA-elements,
 //! while budgets, deadlines, memoization, observability and parallelism
-//! live in the engine and are shared with the classical ([`crate::seqlin`])
-//! and interval ([`crate::interval`]) checkers.
+//! live in the engine. The causal ([`crate::causal`]) and classical
+//! ([`crate::seqlin`]) checkers run this same domain; the interval checker
+//! ([`crate::interval`]) has its own. [`CheckOptions::threads`] picks the
+//! driver: the sequential search at one thread, the parallel one (per-object
+//! decomposition, else work-stealing frontier splitting) above.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{
+    complete_spans_matched, HbRelation, History, HistoryError, PartialHistory, Span,
+};
 use crate::ids::ObjectId;
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation};
@@ -72,16 +77,55 @@ pub fn check_cal<S: CaSpec>(history: &History, spec: &S) -> Result<CheckOutcome,
 
 /// Like [`check_cal`], with explicit [`CheckOptions`].
 ///
+/// [`CheckOptions::threads`] picks the driver. Above one thread the
+/// search runs on that many workers: when the history touches several
+/// objects and [`CaSpec::restrict`] covers every one of them, the check
+/// decomposes into independent per-object subchecks (CAL locality);
+/// otherwise the candidate first elements are split across work-stealing
+/// workers sharing one lock-free memo table. Decided verdicts never
+/// depend on the thread count (the witness may differ, equally valid);
+/// `max_nodes` bounds the *total* nodes across workers.
+///
 /// # Errors
 ///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
+/// Returns [`CheckError::IllFormed`] if the history is not well-formed
+/// and [`CheckError::SpecPanicked`] if the specification panics.
+///
+/// # Examples
+///
+/// ```
+/// use cal_core::check::{check_cal_with, CheckOptions};
+/// use cal_core::text::parse_history;
+/// # use cal_core::spec::{CaSpec, Invocation};
+/// # use cal_core::trace::CaElement;
+/// # use cal_core::Value;
+/// # #[derive(Debug)]
+/// # struct AnySingleton;
+/// # impl CaSpec for AnySingleton {
+/// #     type State = ();
+/// #     fn initial(&self) {}
+/// #     fn step(&self, _: &(), e: &CaElement) -> Option<()> { (e.len() == 1).then_some(()) }
+/// #     fn completions_of(&self, _: &Invocation) -> Vec<Value> { vec![] }
+/// # }
+/// let h = parse_history(
+///     "t1 inv o0.noop 0\n\
+///      t2 inv o0.noop 0\n\
+///      t1 res o0.noop 0\n\
+///      t2 res o0.noop 0\n",
+/// )
+/// .unwrap();
+/// for threads in [1, 4] {
+///     let options = CheckOptions { threads, ..CheckOptions::default() };
+///     assert!(check_cal_with(&h, &AnySingleton, &options).unwrap().verdict.is_cal());
+/// }
+/// ```
 pub fn check_cal_with<S: CaSpec>(
     history: &History,
     spec: &S,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
     let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
+    Ok(engine::search_threads(&domain, options)?.map_witness(steps_to_trace))
 }
 
 /// Assembles the engine's step sequence into a [`CaTrace`] witness.
@@ -98,26 +142,7 @@ pub(crate) fn steps_to_trace(steps: Vec<CalStep>) -> CaTrace {
 /// [`CheckError::Undecided`] when the default node budget runs out before
 /// the search decides.
 pub fn is_cal<S: CaSpec>(history: &History, spec: &S) -> Result<bool, CheckError> {
-    is_cal_with(history, spec, &CheckOptions::default())
-}
-
-/// Like [`is_cal`], with explicit [`CheckOptions`].
-///
-/// # Errors
-///
-/// As [`is_cal`]; a deadline or cancellation interrupt also surfaces as
-/// [`CheckError::Undecided`].
-pub fn is_cal_with<S: CaSpec>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<bool, CheckError> {
-    let outcome = check_cal_with(history, spec, options)?;
-    match outcome.verdict {
-        Verdict::Cal(_) => Ok(true),
-        Verdict::NotCal => Ok(false),
-        undecided => Err(CheckError::Undecided(undecided)),
-    }
+    check_cal(history, spec)?.verdict.decided()
 }
 
 /// Validates a [`Verdict::Cal`] witness against a (possibly incomplete)
@@ -131,8 +156,7 @@ pub fn is_cal_with<S: CaSpec>(
 /// are dropped. Returns `false` for ill-formed histories.
 ///
 /// This is the oracle the differential tests use to cross-validate
-/// witnesses produced by the parallel checker
-/// ([`crate::par::check_cal_par`]).
+/// witnesses produced by the parallel driver.
 pub fn witness_explains<S: CaSpec>(history: &History, spec: &S, witness: &CaTrace) -> bool {
     if history.validate().is_err() || !spec.accepts(witness) {
         return false;
@@ -252,20 +276,22 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     ) -> Result<Self, HistoryError> {
         let spans = history.try_spans()?;
         let hb = HbRelation::real_time(&spans);
-        Self::from_parts(history, spec, spans, hb)
+        Ok(Self::from_parts(history, spec, spans, hb))
     }
 
     /// Builds the domain over an explicit happens-before relation (the
-    /// causal checker's entry point). `hb` must have been built over this
-    /// history's spans.
+    /// causal checker's entry point), validating the history and that
+    /// `hb` covers exactly its spans.
     pub(crate) fn with_order(
         history: Cow<'a, History>,
         spec: SpecRef<'a, S>,
         hb: HbRelation,
-    ) -> Result<Self, HistoryError> {
+    ) -> Result<Self, CheckError> {
         let spans = history.try_spans()?;
-        debug_assert_eq!(hb.len(), spans.len(), "hb relation built over a different history");
-        Self::from_parts(history, spec, spans, hb)
+        if hb.len() != spans.len() {
+            return Err(CheckError::OrderMismatch { order: hb.len(), history: spans.len() });
+        }
+        Ok(Self::from_parts(history, spec, spans, hb))
     }
 
     fn from_parts(
@@ -273,9 +299,9 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         spec: SpecRef<'a, S>,
         spans: Vec<Span>,
         hb: HbRelation,
-    ) -> Result<Self, HistoryError> {
+    ) -> Self {
         let sym = SymClasses::of_order(&spans, &hb);
-        Ok(CalDomain { spec, history, spans, hb, sym })
+        CalDomain { spec, history, spans, hb, sym }
     }
 
     /// Grows `subset` over `minimal[from..]` and collects every non-empty
@@ -414,10 +440,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
-        // Success: every *complete* operation explained; unmatched pending
-        // invocations are dropped by the chosen completion (Def. 2).
-        let (matched, _) = node;
-        (0..self.spans.len()).all(|i| matched.contains(i) || !self.spans[i].is_complete())
+        complete_spans_matched(&self.spans, &node.0)
     }
 
     fn expand(
@@ -427,12 +450,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
         out: &mut Vec<(Self::Step, Self::Node)>,
     ) {
         let (matched, state) = node;
-        // Minimal operations: unmatched, with every hb-predecessor matched.
-        let minimal: Vec<usize> = (0..self.spans.len())
-            .filter(|&i| {
-                !matched.contains(i) && self.hb.preds(i).iter().all(|&j| matched.contains(j))
-            })
-            .collect();
+        let minimal: Vec<usize> = self.hb.ready(matched).collect();
         obs.on_frontier(minimal.len());
         let max_size = self.spec.get().max_element_size().max(1);
         let mut subset: Vec<usize> = Vec::with_capacity(max_size);
@@ -515,14 +533,16 @@ mod tests {
     use super::*;
     use crate::action::Action;
     use crate::ids::{Method, ObjectId, ThreadId, Value};
+    use crate::spec::PerObject;
 
     const E: ObjectId = ObjectId(0);
     const EX: Method = Method("exchange");
 
-    /// An exchanger-shaped spec, inlined to keep cal-core self-contained:
-    /// elements are either a pair swapping values or a singleton failure.
-    #[derive(Debug)]
-    struct MiniExchanger;
+    /// An exchanger-shaped spec for one object, inlined to keep cal-core
+    /// self-contained: elements are either a pair swapping values or a
+    /// singleton failure.
+    #[derive(Debug, Clone)]
+    struct MiniExchanger(ObjectId);
 
     impl CaSpec for MiniExchanger {
         type State = ();
@@ -530,6 +550,9 @@ mod tests {
         fn initial(&self) {}
 
         fn step(&self, _: &(), e: &CaElement) -> Option<()> {
+            if e.object() != self.0 {
+                return None;
+            }
             match e.ops() {
                 [a] => {
                     let (ok, v) = a.ret.as_pair()?;
@@ -560,25 +583,43 @@ mod tests {
             out.extend(peers.iter().filter_map(|p| Some(Value::Pair(true, p.arg.as_int()?))));
             out
         }
+
+        fn restrict(&self, object: ObjectId) -> Option<Self> {
+            (object == self.0).then(|| self.clone())
+        }
     }
 
+    const EXCHANGER: MiniExchanger = MiniExchanger(E);
+
     fn inv(t: u32, v: i64) -> Action {
-        Action::invoke(ThreadId(t), E, EX, Value::Int(v))
+        inv_on(E, t, v)
     }
 
     fn res(t: u32, ok: bool, v: i64) -> Action {
-        Action::response(ThreadId(t), E, EX, Value::Pair(ok, v))
+        res_on(E, t, ok, v)
+    }
+
+    fn inv_on(o: ObjectId, t: u32, v: i64) -> Action {
+        Action::invoke(ThreadId(t), o, EX, Value::Int(v))
+    }
+
+    fn res_on(o: ObjectId, t: u32, ok: bool, v: i64) -> Action {
+        Action::response(ThreadId(t), o, EX, Value::Pair(ok, v))
+    }
+
+    fn threads_options(threads: usize) -> CheckOptions {
+        CheckOptions { threads, ..CheckOptions::default() }
     }
 
     #[test]
     fn empty_history_is_cal() {
-        assert!(is_cal(&History::new(), &MiniExchanger).unwrap());
+        assert!(is_cal(&History::new(), &EXCHANGER).unwrap());
     }
 
     #[test]
     fn concurrent_swap_is_cal() {
         let h = History::from_actions(vec![inv(1, 3), inv(2, 4), res(1, true, 4), res(2, true, 3)]);
-        let outcome = check_cal(&h, &MiniExchanger).unwrap();
+        let outcome = check_cal(&h, &EXCHANGER).unwrap();
         let witness = outcome.verdict.witness().unwrap().clone();
         assert_eq!(witness.len(), 1);
         assert_eq!(witness.elements()[0].len(), 2);
@@ -588,26 +629,26 @@ mod tests {
     fn sequential_swap_is_not_cal() {
         // The §3 argument: non-overlapping operations cannot swap.
         let h = History::from_actions(vec![inv(1, 3), res(1, true, 4), inv(2, 4), res(2, true, 3)]);
-        assert!(!is_cal(&h, &MiniExchanger).unwrap());
+        assert!(!is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
     fn failed_exchange_is_cal() {
         let h = History::from_actions(vec![inv(1, 3), res(1, false, 3)]);
-        assert!(is_cal(&h, &MiniExchanger).unwrap());
+        assert!(is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
     fn failure_returning_wrong_value_is_not_cal() {
         let h = History::from_actions(vec![inv(1, 3), res(1, false, 9)]);
-        assert!(!is_cal(&h, &MiniExchanger).unwrap());
+        assert!(!is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
     fn lone_successful_exchange_is_not_cal() {
         // Fig. 3's H3 prefix: one thread cannot succeed alone.
         let h = History::from_actions(vec![inv(1, 3), res(1, true, 4)]);
-        assert!(!is_cal(&h, &MiniExchanger).unwrap());
+        assert!(!is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
@@ -616,13 +657,13 @@ mod tests {
         // t2's response is missing; completing it as (true,3) explains t1.
         // Even if it were dropped, t1 alone would fail — so the checker
         // must find the completion.
-        assert!(is_cal(&h, &MiniExchanger).unwrap());
+        assert!(is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
     fn pending_invocation_dropped_when_unexplainable() {
         let h = History::from_actions(vec![inv(1, 3)]);
-        assert!(is_cal(&h, &MiniExchanger).unwrap());
+        assert!(is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
@@ -635,7 +676,7 @@ mod tests {
             res(2, true, 3),
             res(3, false, 7),
         ]);
-        let outcome = check_cal(&h, &MiniExchanger).unwrap();
+        let outcome = check_cal(&h, &EXCHANGER).unwrap();
         assert!(outcome.verdict.is_cal());
         assert!(outcome.stats.nodes > 0);
     }
@@ -643,7 +684,7 @@ mod tests {
     #[test]
     fn mismatched_swap_values_not_cal() {
         let h = History::from_actions(vec![inv(1, 3), inv(2, 4), res(1, true, 9), res(2, true, 3)]);
-        assert!(!is_cal(&h, &MiniExchanger).unwrap());
+        assert!(!is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
@@ -657,21 +698,21 @@ mod tests {
             res(2, true, 3),
             res(3, true, 1),
         ]);
-        assert!(!is_cal(&h, &MiniExchanger).unwrap());
+        assert!(!is_cal(&h, &EXCHANGER).unwrap());
     }
 
     #[test]
     fn budget_exhaustion_reported() {
         let h = History::from_actions(vec![inv(1, 3), inv(2, 4), res(1, true, 4), res(2, true, 3)]);
-        let outcome =
-            check_cal_with(&h, &MiniExchanger, &CheckOptions { max_nodes: 0, ..CheckOptions::default() }).unwrap();
+        let options = CheckOptions { max_nodes: 0, ..CheckOptions::default() };
+        let outcome = check_cal_with(&h, &EXCHANGER, &options).unwrap();
         assert_eq!(outcome.verdict, Verdict::ResourcesExhausted);
     }
 
     #[test]
     fn ill_formed_history_is_an_error() {
         let h = History::from_actions(vec![res(1, false, 3)]);
-        assert!(matches!(check_cal(&h, &MiniExchanger), Err(CheckError::IllFormed(_))));
+        assert!(matches!(check_cal(&h, &EXCHANGER), Err(CheckError::IllFormed(_))));
     }
 
     #[test]
@@ -684,7 +725,7 @@ mod tests {
             inv(3, 7),
             res(3, false, 7),
         ]);
-        let outcome = check_cal(&h, &MiniExchanger).unwrap();
+        let outcome = check_cal(&h, &EXCHANGER).unwrap();
         let witness = outcome.verdict.witness().unwrap();
         assert!(crate::agree::agrees_bool(&h, witness));
     }
@@ -719,7 +760,7 @@ mod tests {
     fn zero_deadline_interrupts_search() {
         let options =
             CheckOptions { deadline: Some(std::time::Duration::ZERO), ..unbounded_no_memo() };
-        let outcome = check_cal_with(&hard_history(13), &MiniExchanger, &options).unwrap();
+        let outcome = check_cal_with(&hard_history(13), &EXCHANGER, &options).unwrap();
         assert_eq!(
             outcome.verdict,
             Verdict::Interrupted { reason: InterruptReason::DeadlineExceeded }
@@ -730,18 +771,24 @@ mod tests {
 
     #[test]
     fn cancelled_token_interrupts_search() {
-        let token = CancelToken::new();
-        token.cancel();
-        let options = CheckOptions { cancel: Some(token), ..unbounded_no_memo() };
-        let outcome = check_cal_with(&hard_history(13), &MiniExchanger, &options).unwrap();
-        assert_eq!(outcome.verdict, Verdict::Interrupted { reason: InterruptReason::Cancelled });
+        for threads in [1, 4] {
+            let token = CancelToken::new();
+            token.cancel();
+            let options = CheckOptions { cancel: Some(token), threads, ..unbounded_no_memo() };
+            let outcome = check_cal_with(&hard_history(13), &EXCHANGER, &options).unwrap();
+            assert_eq!(
+                outcome.verdict,
+                Verdict::Interrupted { reason: InterruptReason::Cancelled },
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
     fn deadline_does_not_stop_a_decidable_check() {
         let options = CheckOptions::with_deadline(std::time::Duration::from_secs(60));
         let h = History::from_actions(vec![inv(1, 3), inv(2, 4), res(1, true, 4), res(2, true, 3)]);
-        let outcome = check_cal_with(&h, &MiniExchanger, &options).unwrap();
+        let outcome = check_cal_with(&h, &EXCHANGER, &options).unwrap();
         assert!(outcome.verdict.is_cal());
     }
 
@@ -767,12 +814,141 @@ mod tests {
     }
 
     #[test]
-    fn is_cal_reports_undecided_as_error() {
+    fn undecided_verdicts_are_errors_for_the_predicates() {
         let h = History::from_actions(vec![inv(1, 3), inv(2, 4), res(1, true, 4), res(2, true, 3)]);
         let options = CheckOptions { max_nodes: 0, ..CheckOptions::default() };
-        match is_cal_with(&h, &MiniExchanger, &options) {
+        let verdict = check_cal_with(&h, &EXCHANGER, &options).unwrap().verdict;
+        match verdict.decided() {
             Err(CheckError::Undecided(Verdict::ResourcesExhausted)) => {}
             other => panic!("expected Undecided, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn parallel_matches_sequential_on_swap() {
+        let h = History::from_actions(vec![inv(1, 3), inv(2, 4), res(1, true, 4), res(2, true, 3)]);
+        for threads in [1, 2, 8] {
+            let outcome = check_cal_with(&h, &EXCHANGER, &threads_options(threads)).unwrap();
+            assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
+            let witness = outcome.verdict.witness().unwrap();
+            assert!(witness_explains(&h, &EXCHANGER, witness));
+        }
+    }
+
+    #[test]
+    fn parallel_refutes_hard_history() {
+        let h = hard_history(7);
+        for threads in [1, 2, 8] {
+            let outcome = check_cal_with(&h, &EXCHANGER, &threads_options(threads)).unwrap();
+            assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
+            assert!(outcome.stats.nodes > 0);
+        }
+    }
+
+    /// Two independent exchangers, each swapping once; `b_after_a` makes
+    /// object b's swap start only after object a's completes.
+    fn two_swaps(b_after_a: bool) -> History {
+        let (a, b) = (ObjectId(0), ObjectId(1));
+        let (t3, t4) = if b_after_a { (3, 4) } else { (1, 2) };
+        History::from_actions(vec![
+            inv_on(a, 1, 3),
+            inv_on(a, 2, 4),
+            res_on(a, 1, true, 4),
+            res_on(a, 2, true, 3),
+            inv_on(b, t3, 5),
+            inv_on(b, t4, 6),
+            res_on(b, t3, true, 6),
+            res_on(b, t4, true, 5),
+        ])
+    }
+
+    fn two_exchangers() -> PerObject<MiniExchanger> {
+        let (a, b) = (ObjectId(0), ObjectId(1));
+        PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))])
+    }
+
+    #[test]
+    fn decomposition_checks_objects_independently() {
+        let h = two_swaps(false);
+        let spec = two_exchangers();
+        let outcome = check_cal_with(&h, &spec, &threads_options(4)).unwrap();
+        assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+        let witness = outcome.verdict.witness().unwrap();
+        assert_eq!(witness.len(), 2);
+        assert!(witness_explains(&h, &spec, witness));
+    }
+
+    #[test]
+    fn decomposition_respects_cross_object_real_time_order() {
+        // Object a's swap completes strictly before object b's begins: the
+        // merged witness must put a's element first.
+        let h = two_swaps(true);
+        let spec = two_exchangers();
+        let outcome = check_cal_with(&h, &spec, &threads_options(2)).unwrap();
+        let witness = outcome.verdict.witness().expect("CAL");
+        assert_eq!(witness.elements()[0].object(), ObjectId(0));
+        assert_eq!(witness.elements()[1].object(), ObjectId(1));
+        assert!(witness_explains(&h, &spec, witness));
+    }
+
+    #[test]
+    fn decomposition_finds_the_bad_object() {
+        // Object a fine; object b's swap is sequential (not CAL).
+        let (a, b) = (ObjectId(0), ObjectId(1));
+        let h = History::from_actions(vec![
+            inv_on(a, 1, 3),
+            inv_on(a, 2, 4),
+            res_on(a, 1, true, 4),
+            res_on(a, 2, true, 3),
+            inv_on(b, 1, 5),
+            res_on(b, 1, true, 6),
+            inv_on(b, 2, 6),
+            res_on(b, 2, true, 5),
+        ]);
+        for threads in [1, 4] {
+            let outcome = check_cal_with(&h, &two_exchangers(), &threads_options(threads)).unwrap();
+            assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn multi_object_falls_back_without_restrict() {
+        /// A spec that refuses to restrict: forces whole-history search.
+        #[derive(Debug)]
+        struct Coupled(MiniExchanger, MiniExchanger);
+        impl CaSpec for Coupled {
+            type State = ();
+            fn initial(&self) {}
+            fn step(&self, _: &(), e: &CaElement) -> Option<()> {
+                self.0.step(&(), e).or_else(|| self.1.step(&(), e))
+            }
+            fn max_element_size(&self) -> usize {
+                2
+            }
+            fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+                self.0.completions_of(inv)
+            }
+            fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+                self.0.completions_among(inv, peers)
+            }
+        }
+        let spec = Coupled(MiniExchanger(ObjectId(0)), MiniExchanger(ObjectId(1)));
+        let outcome = check_cal_with(&two_swaps(false), &spec, &threads_options(4)).unwrap();
+        assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+    }
+
+    #[test]
+    fn shared_budget_is_global() {
+        let options = CheckOptions { max_nodes: 3, threads: 4, ..CheckOptions::default() };
+        let outcome = check_cal_with(&hard_history(9), &EXCHANGER, &options).unwrap();
+        assert_eq!(outcome.verdict, Verdict::ResourcesExhausted);
+    }
+
+    #[test]
+    fn empty_and_pending_only_histories_are_cal_in_parallel() {
+        let options = threads_options(4);
+        assert!(check_cal_with(&History::new(), &EXCHANGER, &options).unwrap().verdict.is_cal());
+        let pending = History::from_actions(vec![inv(1, 3)]);
+        assert!(check_cal_with(&pending, &EXCHANGER, &options).unwrap().verdict.is_cal());
     }
 }

@@ -1,14 +1,16 @@
 //! The generic membership-search kernel shared by every checker.
 //!
-//! The CAL checker ([`crate::check`]), the classical linearizability
-//! checker ([`crate::seqlin`]) and the interval-linearizability checker
-//! ([`crate::interval`]) are all instances of one problem: an ordered
-//! backtracking search for a *witness* — a sequence of steps accepted by a
-//! stateful specification that explains every complete operation of a
-//! history. They differ only in how candidate steps are enumerated and
-//! what a step is (a CA-element, a single operation, an interval point).
+//! The CAL checker ([`crate::check`]), its causal variant
+//! ([`crate::causal`]), the classical linearizability checker
+//! ([`crate::seqlin`], CAL over singleton elements) and the
+//! interval-linearizability checker ([`crate::interval`]) are all
+//! instances of one problem: an ordered backtracking search for a
+//! *witness* — a sequence of steps accepted by a stateful specification
+//! that explains every complete operation of a history. They differ only
+//! in how candidate steps are enumerated and what a step is (a CA-element
+//! or an interval point).
 //!
-//! This module owns everything that used to be triplicated across them:
+//! This module owns everything the checkers share:
 //!
 //! - the node budget ([`CheckOptions::max_nodes`]) with a private or
 //!   shared (cross-worker) counter;
@@ -20,8 +22,10 @@
 //!   [`CheckOptions::symmetry`]);
 //! - [`crate::obs::StatsSink`] event emission;
 //! - the [`Verdict`] / [`InterruptReason`] outcome taxonomy;
-//! - the parallel driver: per-object decomposition and work-stealing
-//!   root-frontier splitting ([`search_par`], [`CheckOptions::stealing`]).
+//! - the two drivers, picked by [`CheckOptions::threads`]: the
+//!   sequential [`search`] at one thread, and above it the parallel
+//!   [`search_par`] with per-object decomposition and work-stealing
+//!   root-frontier splitting ([`CheckOptions::stealing`]).
 //!
 //! The search itself is an *iterative* DFS over an arena of successor
 //! entries: one `Vec` per worker holds every `(step, node)` on the
@@ -37,11 +41,10 @@
 //! sequential search, parallel search, the shared memo table, stats sinks
 //! and uniform interrupt semantics from one audited implementation.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -116,16 +119,16 @@ pub struct CheckOptions {
     /// Cooperative cancellation: when the token fires, the search winds
     /// down and reports [`Verdict::Interrupted`]. `None` by default.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for the parallel drivers ([`search_par`], used by
-    /// [`crate::par::check_cal_par_with`] and the other `_par` entry
-    /// points). The sequential entry points ignore it. Defaults to 1.
+    /// Checker threads; picks the driver. At 1 (the default) every
+    /// `check_*_with` entry point runs the sequential [`search`]; above 1
+    /// it runs the parallel [`search_par`] with this many workers.
     pub threads: usize,
     /// Work-stealing for the parallel frontier search: workers donate
     /// untried subtrees from their shallowest frame to idle thieves, so
     /// a skewed root frontier no longer leaves workers dying with their
     /// branch. On by default; off reverts to static root-branch claiming
-    /// (the ablation benchmark measures the difference). The sequential
-    /// entry points ignore it.
+    /// (the ablation benchmark measures the difference). Only the
+    /// parallel driver reads it, so it has no effect at `threads: 1`.
     pub stealing: bool,
     /// Symmetry reduction ([`crate::symmetry`]): memo keys are
     /// canonicalized under permutation of interchangeable operations
@@ -165,13 +168,6 @@ impl CheckOptions {
     /// Returns the default options with a wall-clock `deadline`.
     pub fn with_deadline(deadline: Duration) -> Self {
         CheckOptions { deadline: Some(deadline), ..CheckOptions::default() }
-    }
-
-    /// Returns the default options with [`CheckOptions::threads`] set to
-    /// the machine's available parallelism.
-    pub fn parallel() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        CheckOptions { threads, ..CheckOptions::default() }
     }
 }
 
@@ -266,6 +262,20 @@ impl<W> Verdict<W> {
         }
     }
 
+    /// The verdict as the `is_*` predicates report it: `Ok(true)` for
+    /// [`Verdict::Cal`], `Ok(false)` for [`Verdict::NotCal`], and
+    /// [`CheckError::Undecided`] when the search stopped without deciding.
+    pub(crate) fn decided(self) -> Result<bool, CheckError> {
+        match self {
+            Verdict::Cal(_) => Ok(true),
+            Verdict::NotCal => Ok(false),
+            Verdict::ResourcesExhausted => Err(CheckError::Undecided(Verdict::ResourcesExhausted)),
+            Verdict::Interrupted { reason } => {
+                Err(CheckError::Undecided(Verdict::Interrupted { reason }))
+            }
+        }
+    }
+
     /// Maps the witness type, leaving the other variants untouched.
     pub fn map<U>(self, f: impl FnOnce(W) -> U) -> Verdict<U> {
         match self {
@@ -339,6 +349,14 @@ pub enum CheckError {
     /// A boolean convenience query ([`crate::check::is_cal`]) could not be
     /// answered because the underlying check stopped without deciding.
     Undecided(Verdict),
+    /// The happens-before relation handed to the checker was built over a
+    /// different number of operations than the history has.
+    OrderMismatch {
+        /// Operations the relation covers.
+        order: usize,
+        /// Operations in the history.
+        history: usize,
+    },
 }
 
 impl fmt::Display for CheckError {
@@ -347,6 +365,10 @@ impl fmt::Display for CheckError {
             CheckError::IllFormed(e) => write!(f, "ill-formed history: {e}"),
             CheckError::SpecPanicked(msg) => write!(f, "specification panicked: {msg}"),
             CheckError::Undecided(v) => write!(f, "check undecided: {v}"),
+            CheckError::OrderMismatch { order, history } => write!(
+                f,
+                "happens-before relation covers {order} operations, the history has {history}"
+            ),
         }
     }
 }
@@ -355,7 +377,9 @@ impl Error for CheckError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CheckError::IllFormed(e) => Some(e),
-            CheckError::SpecPanicked(_) | CheckError::Undecided(_) => None,
+            CheckError::SpecPanicked(_)
+            | CheckError::Undecided(_)
+            | CheckError::OrderMismatch { .. } => None,
         }
     }
 }
@@ -382,77 +406,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// even slow spec transitions keep deadline overshoot well under the
 /// deadline itself.
 const POLL_INTERVAL_MASK: u64 = 255;
-
-/// A concurrent failed-state table striped over N mutex-guarded shards.
-///
-/// Keys are domain search nodes; a key is inserted once the subtree below
-/// it has been exhaustively refuted, after which every worker prunes on
-/// it. Striping keeps the common case (distinct shards) contention-free
-/// without pulling in a lock-free map.
-///
-/// The parallel driver's hot path now uses the lock-free
-/// [`crate::fpmemo::FpMemo`] instead; this table remains as the simple,
-/// unbounded alternative (exact membership, no eviction) for callers
-/// that build their own drivers on the engine.
-pub struct ShardedMemo<K> {
-    shards: Box<[Mutex<HashSet<K>>]>,
-    mask: usize,
-}
-
-impl<K: Eq + Hash> ShardedMemo<K> {
-    /// Creates a table striped for `threads` workers (shard count is a
-    /// power of two, several shards per worker).
-    pub fn for_threads(threads: usize) -> Self {
-        Self::with_shards((threads.max(1) * 8).min(512))
-    }
-
-    /// Creates a table with `shards` stripes (rounded up to a power of
-    /// two, at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let stripes: Vec<Mutex<HashSet<K>>> = (0..n).map(|_| Mutex::new(HashSet::new())).collect();
-        ShardedMemo { shards: stripes.into_boxed_slice(), mask: n - 1 }
-    }
-
-    /// The stripe index `key` hashes to — stable for the table's lifetime,
-    /// and what per-shard memo statistics ([`crate::obs::StatsSink`]) are
-    /// keyed by.
-    pub fn shard_index(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) & self.mask
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashSet<K>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Whether `key` has been recorded as a refuted state.
-    pub fn contains(&self, key: &K) -> bool {
-        self.shard(key).lock().contains(key)
-    }
-
-    /// Records a refuted state; returns `true` if it was new.
-    pub fn insert(&self, key: K) -> bool {
-        self.shard(&key).lock().insert(key)
-    }
-
-    /// Total number of recorded states.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K> fmt::Debug for ShardedMemo<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedMemo").field("shards", &self.shards.len()).finish()
-    }
-}
 
 /// The failed-state table behind a search: thread-private for the
 /// sequential driver, a reference to a shared lock-free fingerprint
@@ -499,11 +452,10 @@ impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
 /// steps and assemble witnesses. Everything else — budgets, deadlines,
 /// memoization, parallelism, stats — is the engine's job.
 ///
-/// The three in-tree domains are the CAL checker ([`crate::check`],
-/// steps are CA-elements), the classical linearizability checker
-/// ([`crate::seqlin`], steps are single operations) and the
-/// interval-linearizability checker ([`crate::interval`], steps are
-/// interval points).
+/// The two in-tree domains are the CAL domain ([`crate::check`], steps
+/// are CA-elements; the causal and classical linearizability checkers
+/// run it too) and the interval-linearizability domain
+/// ([`crate::interval`], steps are interval points).
 pub trait SearchDomain {
     /// A search node. Doubles as the failed-state memo key, which is why
     /// it stays domain-local: the CAL and linearizability checkers key on
@@ -512,8 +464,7 @@ pub trait SearchDomain {
     /// would either lose pruning or conflate distinct residual states.
     type Node: Clone + Eq + Hash + fmt::Debug;
 
-    /// One step of a witness (a CA-element, an operation, an interval
-    /// point).
+    /// One step of a witness (a CA-element or an interval point).
     type Step: Clone;
 
     /// The root search node. May call specification code; the engine
@@ -552,8 +503,8 @@ pub trait SearchDomain {
     ///
     /// Implementations must guarantee that two nodes with the same
     /// canonical key have equi-satisfiable residual search problems; see
-    /// [`crate::symmetry`] for the soundness argument the CAL and
-    /// linearizability domains rely on.
+    /// [`crate::symmetry`] for the soundness argument the CAL domain
+    /// relies on.
     fn canonical_key(&self, node: &Self::Node) -> Option<Self::Node> {
         let _ = node;
         None
@@ -1180,7 +1131,7 @@ impl Tally {
 
 /// Runs the parallel search over `domain`: per-object decomposition when
 /// [`SearchDomain::decompose`] offers at least two parts, root-frontier
-/// splitting with a shared [`ShardedMemo`] otherwise.
+/// splitting with a shared lock-free [`FpMemo`] otherwise.
 /// [`CheckOptions::threads`] sets the worker count; `max_nodes` bounds
 /// the *total* nodes across workers.
 ///
@@ -1202,6 +1153,25 @@ where
     match parts {
         Some(parts) if parts.len() >= 2 => search_decomposed(domain, parts, options),
         _ => frontier_search(domain, options),
+    }
+}
+
+/// The driver [`CheckOptions::threads`] picks: [`search`] at one thread,
+/// [`search_par`] above. Every checker's `check_*_with` entry point runs
+/// through here.
+pub(crate) fn search_threads<D>(
+    domain: &D,
+    options: &CheckOptions,
+) -> Result<CheckOutcome<Vec<D::Step>>, CheckError>
+where
+    D: SearchDomain + Sync,
+    D::Node: Send + Sync,
+    D::Step: Send + Sync,
+{
+    if options.threads > 1 {
+        search_par(domain, options)
+    } else {
+        search(domain, options)
     }
 }
 

@@ -692,6 +692,18 @@ impl HbRelation {
         Self::finish(before, self.real_time)
     }
 
+    /// The spans ready to be matched next, ascending: unmatched, with
+    /// every hb-predecessor already in `matched`. This is the frontier
+    /// every checker domain expands from.
+    pub(crate) fn ready<'a>(
+        &'a self,
+        matched: &'a crate::bitset::BitSet,
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..self.preds.len()).filter(move |&i| {
+            !matched.contains(i) && self.preds[i].iter().all(|&j| matched.contains(j))
+        })
+    }
+
     fn finish(before: Vec<crate::bitset::BitSet>, real_time: bool) -> Self {
         let n = before.len();
         let preds: Vec<Vec<usize>> = before.iter().map(|b| b.iter().collect()).collect();
@@ -703,6 +715,13 @@ impl HbRelation {
         }
         HbRelation { before, preds, succs, real_time }
     }
+}
+
+/// The goal test every checker domain shares: `matched` covers every
+/// *complete* span. Unmatched pending invocations are dropped by the
+/// chosen completion (Def. 2).
+pub(crate) fn complete_spans_matched(spans: &[Span], matched: &crate::bitset::BitSet) -> bool {
+    spans.iter().enumerate().all(|(i, s)| matched.contains(i) || !s.is_complete())
 }
 
 impl PartialHistory for HbRelation {

@@ -17,21 +17,21 @@
 //! operations in one point are pairwise concurrent in `H`. CAL is the
 //! special case where every interval has length one.
 //!
-//! Like the other two checkers, this module is a thin domain over the
-//! shared search kernel ([`crate::engine`]): `IntervalDomain` enumerates
+//! Like the CAL checker, this module is a thin domain over the shared
+//! search kernel ([`crate::engine`]): `IntervalDomain` enumerates
 //! candidate points, and budgets, deadlines, cancellation, memoization,
 //! [`crate::obs::StatsSink`] observability and the parallel driver
-//! ([`check_interval_par_with`]) come from the engine. The verdict is the
-//! common [`Verdict`] taxonomy with an [`IntervalWitness`] payload; the
-//! bespoke [`IntervalVerdict`] remains as a deprecated conversion target
-//! for one release.
+//! ([`CheckOptions::threads`] above one) come from the engine. The verdict
+//! is the common [`Verdict`] taxonomy with an [`IntervalWitness`] payload.
 
 use std::fmt::{self, Debug};
 use std::hash::Hash;
 
 use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{
+    complete_spans_matched, HbRelation, History, HistoryError, PartialHistory, Span,
+};
 use crate::ids::Value;
 use crate::op::Operation;
 use crate::spec::{Invocation, SeqSpec};
@@ -41,10 +41,10 @@ pub use crate::engine::{CheckError, CheckOptions, CheckOutcome, InterruptReason,
 use std::borrow::Cow;
 
 /// An interval-sequential specification: a stateful acceptor over interval
-/// points.
-pub trait IntervalSpec {
+/// points. Shared across checker threads like [`crate::spec::CaSpec`].
+pub trait IntervalSpec: Sync {
     /// Acceptor state.
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash + Debug + Send + Sync;
 
     /// The initial state.
     fn initial(&self) -> Self::State;
@@ -154,46 +154,6 @@ impl fmt::Display for IntervalWitness {
     }
 }
 
-/// The bespoke outcome type of the pre-kernel interval checker.
-#[deprecated(
-    note = "use the common `Verdict<IntervalWitness>` returned by `check_interval`; \
-            convert with `IntervalVerdict::from` during migration"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IntervalVerdict {
-    /// Interval-linearizable, with the witness point sequence.
-    Linearizable(Vec<IntervalPoint>),
-    /// No witness exists.
-    NotLinearizable,
-    /// The node budget ran out first.
-    ResourcesExhausted,
-    /// A deadline or cancellation stopped the search first.
-    Interrupted {
-        /// What stopped the search.
-        reason: InterruptReason,
-    },
-}
-
-#[allow(deprecated)]
-impl IntervalVerdict {
-    /// Returns `true` for [`IntervalVerdict::Linearizable`].
-    pub fn is_linearizable(&self) -> bool {
-        matches!(self, IntervalVerdict::Linearizable(_))
-    }
-}
-
-#[allow(deprecated)]
-impl From<Verdict<IntervalWitness>> for IntervalVerdict {
-    fn from(v: Verdict<IntervalWitness>) -> Self {
-        match v {
-            Verdict::Cal(w) => IntervalVerdict::Linearizable(w.into_points()),
-            Verdict::NotCal => IntervalVerdict::NotLinearizable,
-            Verdict::ResourcesExhausted => IntervalVerdict::ResourcesExhausted,
-            Verdict::Interrupted { reason } => IntervalVerdict::Interrupted { reason },
-        }
-    }
-}
-
 /// Decides interval-linearizability of `history` w.r.t. `spec`.
 ///
 /// The outcome uses the common [`Verdict`] taxonomy with an
@@ -210,59 +170,22 @@ pub fn check_interval<S: IntervalSpec>(
     check_interval_with(history, spec, &CheckOptions::default())
 }
 
-/// Like [`check_interval`], with explicit options.
+/// Like [`check_interval`], with explicit options. [`CheckOptions::threads`]
+/// picks the driver: above one thread the candidate first points are split
+/// across work-stealing workers sharing one memo table and a global node
+/// budget, with the same verdict and interrupt semantics.
 ///
 /// # Errors
 ///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
+/// Returns [`CheckError::IllFormed`] if the history is not well-formed
+/// and [`CheckError::SpecPanicked`] if the specification panics.
 pub fn check_interval_with<S: IntervalSpec>(
     history: &History,
     spec: &S,
     options: &CheckOptions,
 ) -> Result<CheckOutcome<IntervalWitness>, CheckError> {
     let domain = IntervalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search(&domain, options)?.map_witness(IntervalWitness::new))
-}
-
-/// Parallel interval-linearizability check with [`CheckOptions::parallel`];
-/// see [`check_interval_par_with`].
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_interval_par<S>(
-    history: &History,
-    spec: &S,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
-    check_interval_par_with(history, spec, &CheckOptions::parallel())
-}
-
-/// Like [`check_interval_with`], run on the engine's parallel driver
-/// ([`engine::search_par`]): the candidate first points are enumerated
-/// once and split across workers sharing one sharded memo table and a
-/// global node budget — inherited from the shared kernel, with the same
-/// verdict and interrupt semantics as the CAL checker.
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_interval_par_with<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
-    let domain = IntervalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search_par(&domain, options)?.map_witness(IntervalWitness::new))
+    Ok(engine::search_threads(&domain, options)?.map_witness(IntervalWitness::new))
 }
 
 /// Convenience predicate for [`check_interval`].
@@ -277,14 +200,7 @@ pub fn is_interval_linearizable<S: IntervalSpec>(
     history: &History,
     spec: &S,
 ) -> Result<bool, CheckError> {
-    match check_interval(history, spec)?.verdict {
-        Verdict::Cal(_) => Ok(true),
-        Verdict::NotCal => Ok(false),
-        Verdict::ResourcesExhausted => Err(CheckError::Undecided(Verdict::ResourcesExhausted)),
-        Verdict::Interrupted { reason } => {
-            Err(CheckError::Undecided(Verdict::Interrupted { reason }))
-        }
-    }
+    check_interval(history, spec)?.verdict.decided()
 }
 
 /// A sequential specification viewed as an interval one: every operation's
@@ -527,9 +443,7 @@ impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
-        node.open.is_empty()
-            && (0..self.spans.len())
-                .all(|i| node.done.contains(i) || !self.spans[i].is_complete())
+        node.open.is_empty() && complete_spans_matched(&self.spans, &node.done)
     }
 
     fn expand(
@@ -540,9 +454,10 @@ impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
     ) {
         // Operations that may open here: neither done nor open, and every
         // ≺H-predecessor is already done (its interval closed earlier).
-        let openable: Vec<usize> = (0..self.spans.len())
-            .filter(|&i| !node.done.contains(i) && node.open.iter().all(|&(j, _)| j != i))
-            .filter(|&i| self.hb.preds(i).iter().all(|&j| node.done.contains(j)))
+        let openable: Vec<usize> = self
+            .hb
+            .ready(&node.done)
+            .filter(|&i| node.open.iter().all(|&(j, _)| j != i))
             .collect();
         obs.on_frontier(openable.len());
         let max_new = self.spec.get().max_active().saturating_sub(node.open.len());
@@ -773,7 +688,7 @@ mod tests {
         ]);
         for threads in [1, 2, 8] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = check_interval_par_with(&h, &WriteSnapshot, &options).unwrap();
+            let outcome = check_interval_with(&h, &WriteSnapshot, &options).unwrap();
             assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
         }
         // And a refutation, across thread counts.
@@ -781,7 +696,7 @@ mod tests {
         let h = History::from_actions(vec![bad.invocation(), bad.response()]);
         for threads in [1, 4] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = check_interval_par_with(&h, &WriteSnapshot, &options).unwrap();
+            let outcome = check_interval_with(&h, &WriteSnapshot, &options).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
         }
     }

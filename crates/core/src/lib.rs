@@ -18,7 +18,15 @@
 //! - a CAL membership checker over stateful trace specifications
 //!   ([`check`], Def. 6, [`spec::CaSpec`]);
 //! - a classical linearizability checker as the singleton-element special
-//!   case ([`seqlin`], [`spec::SeqSpec`]);
+//!   case ([`seqlin`], [`spec::SeqSpec`]), running the CAL search over
+//!   [`spec::SeqAsCa`];
+//! - interval-linearizability ([`interval`]) and causal CAL over a
+//!   happens-before partial order ([`causal`]);
+//! - one options-taking entry point per mode (`check_cal_with`,
+//!   `check_linearizable_with`, `check_interval_with`,
+//!   `check_causal_with`), where [`check::CheckOptions::threads`] picks
+//!   the sequential or the parallel driver of the shared search kernel
+//!   ([`engine`]);
 //! - the `F_o` view-function machinery for compositional verification of
 //!   objects built from subobjects ([`compose`]);
 //! - generators of sound and adversarial histories ([`gen`]).
@@ -89,7 +97,6 @@ pub mod ids;
 pub mod interval;
 pub mod obs;
 pub mod op;
-pub mod par;
 pub mod seqlin;
 pub mod spec;
 pub mod stream;

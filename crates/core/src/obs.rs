@@ -1,7 +1,7 @@
 //! Checker observability: search statistics sinks and structured run
 //! reports.
 //!
-//! The CAL membership search ([`crate::check`], [`crate::par`]) is an
+//! The CAL membership search ([`crate::check`]) is an
 //! exponential backtracking search whose cost profile — where the nodes
 //! went, how wide the frontier was, whether the memo table pruned or
 //! merely contended — is invisible from a bare [`Verdict`]. This module
@@ -72,14 +72,13 @@ use crate::ids::ObjectId;
 ///
 /// Shard indices reported by the search come from the shared memo's
 /// key-hash bucketing (the lock-free [`crate::fpmemo::FpMemo`] reports
-/// `hash mod MEMO_SHARD_BUCKETS`; the mutex-striped
-/// [`crate::par::ShardedMemo`] reports its stripe index, up to 512,
-/// folded into this many buckets). The sequential checker's private memo
+/// `hash mod MEMO_SHARD_BUCKETS`). The sequential driver's private memo
 /// always reports shard 0.
 pub const MEMO_SHARD_BUCKETS: usize = 64;
 
-/// How one object's subsearch ended under the per-object decomposition
-/// of [`crate::par::check_cal_par_with`].
+/// How one object's subsearch ended under the parallel driver's
+/// per-object decomposition ([`crate::check::check_cal_with`] with more
+/// than one thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectOutcome {
     /// The subhistory is CAL (a witness was found).

@@ -1,40 +1,32 @@
 //! Classical linearizability checking (Herlihy & Wing), as the baseline the
 //! paper generalizes.
 //!
-//! [`check_linearizable`] implements the Wing–Gong search with Lowe-style
-//! memoization of failed `(matched-set, spec-state)` pairs: repeatedly pick
-//! a `≺H`-minimal operation, apply it to the sequential specification, and
-//! backtrack on failure. Pending invocations may be completed with
-//! spec-proposed return values or dropped, exactly as in the CAL checker —
-//! linearizability is the singleton-element special case of CAL, and the
-//! test-suite cross-validates the two implementations against each other.
-//!
-//! Like the CAL checker, this module is a thin domain over the shared
-//! search kernel ([`crate::engine`]): `SeqDomain` enumerates candidate
-//! minimal operations, and node budgets, deadlines, cancellation,
-//! memoization, [`crate::obs::StatsSink`] observability and the parallel
-//! drivers ([`check_linearizable_par_with`]) are inherited from the engine
-//! rather than re-implemented.
+//! Linearizability is the special case of CAL in which every CA-element is
+//! a singleton, so [`check_linearizable`] runs the CAL search of
+//! [`crate::check`] over the specification embedded as [`SeqAsCa`]. With
+//! elements capped at one operation that search is the Wing–Gong search
+//! with Lowe-style memoization of failed `(matched-set, spec-state)` pairs:
+//! repeatedly pick a `≺H`-minimal operation, apply it to the sequential
+//! specification, and backtrack on failure. Pending invocations may be
+//! completed with spec-proposed return values or dropped. Node budgets,
+//! deadlines, cancellation, memoization, symmetry reduction,
+//! [`crate::obs::StatsSink`] observability and the parallel driver
+//! (per-object decomposition through [`SeqSpec::restrict`]) come with it.
 
-use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
-
-use crate::bitset::BitSet;
-use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
-use crate::ids::ObjectId;
+use crate::check::check_cal_with;
+use crate::engine::SpecRef;
+use crate::history::History;
+use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
-use crate::spec::{Invocation, SeqSpec};
-use crate::symmetry::SymClasses;
-use crate::trace::{CaElement, CaTrace};
+use crate::spec::{Invocation, SeqAsCa, SeqSpec};
 
 pub use crate::engine::{CheckError, CheckOptions, CheckOutcome, Verdict};
 
 /// Decides whether `history` is linearizable with respect to the sequential
 /// specification `spec`, with default options.
 ///
-/// On success the verdict carries the linearization as a [`CaTrace`] of
-/// singleton elements (a sequential history in trace form).
+/// On success the verdict carries the linearization as a [`crate::CaTrace`]
+/// of singleton elements (a sequential history in trace form).
 ///
 /// # Errors
 ///
@@ -69,62 +61,21 @@ pub fn check_linearizable<S: SeqSpec>(
     check_linearizable_with(history, spec, &CheckOptions::default())
 }
 
-/// Like [`check_linearizable`], with explicit [`CheckOptions`].
+/// Like [`check_linearizable`], with explicit [`CheckOptions`]: CAL over
+/// [`SeqAsCa`], so [`CheckOptions::threads`] picks the driver exactly as
+/// for [`check_cal_with`], and above one thread a spec whose
+/// [`SeqSpec::restrict`] covers every object is checked object by object.
 ///
 /// # Errors
 ///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
+/// Returns [`CheckError::IllFormed`] if the history is not well-formed
+/// and [`CheckError::SpecPanicked`] if the specification panics.
 pub fn check_linearizable_with<S: SeqSpec>(
     history: &History,
     spec: &S,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    let domain = SeqDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
-}
-
-/// Parallel linearizability check using [`CheckOptions::parallel`]; see
-/// [`check_linearizable_par_with`].
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_linearizable_par<S>(history: &History, spec: &S) -> Result<CheckOutcome, CheckError>
-where
-    S: SeqSpec + Sync,
-    S::State: Send + Sync,
-{
-    check_linearizable_par_with(history, spec, &CheckOptions::parallel())
-}
-
-/// Like [`check_linearizable_with`], but run on the engine's parallel
-/// driver ([`engine::search_par`]): per-object decomposition when
-/// [`SeqSpec::restrict`] covers every object in the history, root-frontier
-/// splitting with a shared [`crate::par::ShardedMemo`] otherwise.
-/// Inherited from the shared kernel — the same driver the CAL checker
-/// uses, with identical verdict and interrupt semantics.
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_linearizable_par_with<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: SeqSpec + Sync,
-    S::State: Send + Sync,
-{
-    let domain = SeqDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search_par(&domain, options)?.map_witness(steps_to_trace))
-}
-
-/// Assembles the engine's step sequence into a singleton-element trace.
-fn steps_to_trace(steps: Vec<SeqStep>) -> CaTrace {
-    CaTrace::from_elements(steps.into_iter().map(|s| CaElement::singleton(s.op)).collect())
+    check_cal_with(history, &SeqAsCa::new(SpecRef::Borrowed(spec)), options)
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is linearizable
@@ -137,188 +88,70 @@ fn steps_to_trace(steps: Vec<SeqStep>) -> CaTrace {
 /// [`CheckError::Undecided`] when the default node budget runs out before
 /// the search decides.
 pub fn is_linearizable<S: SeqSpec>(history: &History, spec: &S) -> Result<bool, CheckError> {
-    let outcome = check_linearizable(history, spec)?;
-    match outcome.verdict {
-        Verdict::Cal(_) => Ok(true),
-        Verdict::NotCal => Ok(false),
-        undecided => Err(CheckError::Undecided(undecided)),
-    }
+    check_linearizable(history, spec)?.verdict.decided()
 }
 
-/// One step of a linearization: the chosen operation plus the span index
-/// it matched (used to interleave per-object witnesses under
-/// decomposition).
-#[derive(Debug, Clone)]
-struct SeqStep {
-    op: Operation,
-    span: usize,
-}
+/// The caller's specification, borrowed, is a sequential specification
+/// too, so [`check_linearizable_with`] can embed it in [`SeqAsCa`] without
+/// cloning it; restriction yields owned per-object specifications for the
+/// parallel driver.
+impl<S: SeqSpec> SeqSpec for SpecRef<'_, S> {
+    type State = S::State;
 
-/// The Wing–Gong search as a [`SearchDomain`]: nodes are `(matched-set,
-/// spec-state)` pairs (also the memo key) and steps extract one
-/// `≺H`-minimal operation, completing pending invocations with
-/// spec-proposed return values.
-struct SeqDomain<'a, S: SeqSpec> {
-    spec: SpecRef<'a, S>,
-    history: Cow<'a, History>,
-    spans: Vec<Span>,
-    /// The order the search runs over: always the real-time instance of
-    /// [`PartialHistory`] here — classical linearizability is defined
-    /// against `≺H` (causal relaxations go through `crate::causal`).
-    hb: HbRelation,
-    /// Interchangeability classes for symmetry-reduced memo keys.
-    sym: SymClasses,
-}
-
-impl<'a, S: SeqSpec> SeqDomain<'a, S> {
-    fn new(history: Cow<'a, History>, spec: SpecRef<'a, S>) -> Result<Self, HistoryError> {
-        let spans = history.try_spans()?;
-        let hb = HbRelation::real_time(&spans);
-        let sym = SymClasses::of_order(&spans, &hb);
-        Ok(SeqDomain { spec, history, spans, hb, sym })
-    }
-}
-
-impl<S: SeqSpec> SearchDomain for SeqDomain<'_, S> {
-    type Node = (BitSet, S::State);
-    type Step = SeqStep;
-
-    fn initial(&self) -> Self::Node {
-        (BitSet::new(self.spans.len().max(1)), self.spec.get().initial())
+    fn initial(&self) -> S::State {
+        self.get().initial()
     }
 
-    fn is_goal(&self, node: &Self::Node) -> bool {
-        let (matched, _) = node;
-        (0..self.spans.len()).all(|i| matched.contains(i) || !self.spans[i].is_complete())
+    fn apply(&self, state: &S::State, op: &Operation) -> Option<S::State> {
+        self.get().apply(state, op)
     }
 
-    fn expand(
-        &self,
-        node: &Self::Node,
-        obs: &mut ExpandObs<'_, '_>,
-        out: &mut Vec<(Self::Step, Self::Node)>,
-    ) {
-        let (matched, state) = node;
-        let minimal: Vec<usize> = (0..self.spans.len())
-            .filter(|&i| {
-                !matched.contains(i) && self.hb.preds(i).iter().all(|&j| matched.contains(j))
-            })
-            .collect();
-        obs.on_frontier(minimal.len());
-        for &i in &minimal {
-            let span = &self.spans[i];
-            let candidates: Vec<Operation> = match span.operation() {
-                Some(op) => vec![op],
-                None => {
-                    let inv = Invocation::new(span.thread, span.object, span.method, span.arg);
-                    self.spec
-                        .get()
-                        .completions_of(&inv)
-                        .into_iter()
-                        .map(|ret| span.operation_with_ret(ret))
-                        .collect()
-                }
-            };
-            for op in candidates {
-                if obs.should_stop() {
-                    return;
-                }
-                obs.on_element_tried();
-                if let Some(next) = self.spec.get().apply(state, &op) {
-                    let mut next_matched = matched.clone();
-                    next_matched.insert(i);
-                    out.push((SeqStep { op, span: i }, (next_matched, next)));
-                }
-            }
-        }
+    fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+        self.get().completions_of(inv)
     }
 
-    fn canonical_key(&self, node: &Self::Node) -> Option<Self::Node> {
-        if self.sym.is_trivial() {
-            return None;
-        }
-        self.sym.canonical_bits(&node.0).map(|bits| (bits, node.1.clone()))
-    }
-
-    fn decompose(&self) -> Option<Vec<(ObjectId, Self)>> {
-        let objects = self.history.objects();
-        if objects.len() < 2 {
-            return None;
-        }
-        let parts: Option<Vec<(ObjectId, S)>> =
-            objects.iter().map(|&o| self.spec.get().restrict(o).map(|s| (o, s))).collect();
-        Some(
-            parts?
-                .into_iter()
-                .map(|(o, s)| {
-                    let sub = SeqDomain::new(
-                        Cow::Owned(self.history.project_object(o)),
-                        SpecRef::Owned(s),
-                    )
-                    .expect("projection of a well-formed history is well-formed");
-                    (o, sub)
-                })
-                .collect(),
-        )
-    }
-
-    /// Interleaves per-object linearizations respecting the full history's
-    /// real-time order; singleton elements make `maxinv`/`minresp` just the
-    /// matched span's own invocation and response indices.
-    fn merge_witnesses(&self, parts: Vec<(ObjectId, Vec<SeqStep>)>) -> Vec<SeqStep> {
-        let mut by_object: HashMap<ObjectId, Vec<&Span>> = HashMap::new();
-        for span in &self.spans {
-            by_object.entry(span.object).or_default().push(span);
-        }
-        let queues: Vec<VecDeque<(SeqStep, usize, usize)>> = parts
-            .into_iter()
-            .map(|(object, steps)| {
-                let object_spans = by_object.get(&object).map(Vec::as_slice).unwrap_or(&[]);
-                steps
-                    .into_iter()
-                    .map(|step| {
-                        let span = object_spans[step.span];
-                        (step, span.inv, span.resp.unwrap_or(usize::MAX))
-                    })
-                    .collect()
-            })
-            .collect();
-        engine::merge_by_order(queues)
+    fn restrict(&self, object: ObjectId) -> Option<Self> {
+        self.get().restrict(object).map(SpecRef::Owned)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::action::Action;
-    use crate::ids::{Method, ObjectId, ThreadId, Value};
-    use crate::spec::SeqAsCa;
+    use crate::ids::{Method, ThreadId};
 
     const R: ObjectId = ObjectId(0);
     const WRITE: Method = Method("write");
     const READ: Method = Method("read");
 
-    /// A sequential register: `read` returns the last written value
-    /// (initially 0).
+    /// One sequential register per object: `read` returns the object's
+    /// last written value (initially 0). Objects are independent, so
+    /// [`SeqSpec::restrict`] may hand out the whole spec for any object.
     #[derive(Debug, Clone)]
     struct Register;
 
     impl SeqSpec for Register {
-        type State = i64;
+        type State = BTreeMap<ObjectId, i64>;
 
-        fn initial(&self) -> i64 {
-            0
+        fn initial(&self) -> Self::State {
+            BTreeMap::new()
         }
 
-        fn apply(&self, state: &i64, op: &Operation) -> Option<i64> {
+        fn apply(&self, state: &Self::State, op: &Operation) -> Option<Self::State> {
+            let current = state.get(&op.object).copied().unwrap_or(0);
             match op.method {
                 WRITE => {
                     if op.ret != Value::Unit {
                         return None;
                     }
-                    op.arg.as_int()
+                    let mut next = state.clone();
+                    next.insert(op.object, op.arg.as_int()?);
+                    Some(next)
                 }
-                READ => (op.ret == Value::Int(*state)).then_some(*state),
+                READ => (op.ret == Value::Int(current)).then(|| state.clone()),
                 _ => None,
             }
         }
@@ -463,7 +296,7 @@ mod tests {
         ]);
         for threads in [1, 2, 4] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = check_linearizable_par_with(&h, &Register, &options).unwrap();
+            let outcome = check_linearizable_with(&h, &Register, &options).unwrap();
             assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
             let witness = outcome.verdict.witness().unwrap();
             assert_eq!(witness.len(), 4, "threads={threads}");

@@ -49,10 +49,14 @@ impl Invocation {
 
 /// A concurrency-aware specification: a prefix-closed set of CA-traces,
 /// represented as a stateful acceptor (§4 of the paper).
-pub trait CaSpec {
+///
+/// Specifications and their states are shared across checker threads
+/// when [`crate::check::CheckOptions::threads`] asks for more than one,
+/// hence the `Sync` and `Send + Sync` bounds.
+pub trait CaSpec: Sync {
     /// Acceptor state. For a stack this is the abstract stack contents; for
     /// the exchanger it is `()` (every element is judged locally).
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash + Debug + Send + Sync;
 
     /// The initial acceptor state.
     fn initial(&self) -> Self::State;
@@ -105,10 +109,11 @@ pub trait CaSpec {
     ///
     /// Contract: if `restrict(o)` returns `Some` for **every** object `o`
     /// occurring in a trace `T`, then `self` accepts `T` iff each
-    /// `restrict(o)` accepts the projection `T|o`. The parallel checker
-    /// ([`crate::par::check_cal_par_with`]) uses this to check per-object
-    /// subhistories independently; returning `None` for any object forces
-    /// the whole-history search, which is always sound.
+    /// `restrict(o)` accepts the projection `T|o`. The parallel driver
+    /// ([`crate::check::check_cal_with`] with more than one thread) uses
+    /// this to check per-object subhistories independently; returning
+    /// `None` for any object forces the whole-history search, which is
+    /// always sound.
     ///
     /// The default returns `None` (no decomposition).
     fn restrict(&self, object: ObjectId) -> Option<Self>
@@ -121,10 +126,11 @@ pub trait CaSpec {
 }
 
 /// A sequential specification: a prefix-closed set of sequential histories,
-/// represented as a stateful acceptor over single operations.
-pub trait SeqSpec {
+/// represented as a stateful acceptor over single operations. Shared
+/// across checker threads like [`CaSpec`].
+pub trait SeqSpec: Sync {
     /// Acceptor state (e.g. abstract stack contents).
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash + Debug + Send + Sync;
 
     /// The initial acceptor state.
     fn initial(&self) -> Self::State;

@@ -99,21 +99,17 @@ use std::time::{Duration, Instant};
 
 use cal::chaos::driver::{run_once, ChaosVerdict, Mode, RunConfig, TargetKind};
 use cal::chaos::Profile;
-use cal::core::causal::{check_causal_par_with, check_causal_with};
+use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::dsl::{self, SpecDef};
 use cal::core::history::HbRelation;
-use cal::core::interval::{
-    check_interval_par_with, check_interval_with, IntervalSpec, IntervalWitness, SeqAsInterval,
-};
+use cal::core::interval::{check_interval_with, IntervalWitness, SeqAsInterval};
 use cal::core::format::{self, Format};
 use cal::core::obs::{CountingSink, SearchReport};
-use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
-use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
+use cal::core::seqlin::check_linearizable_with;
+use cal::core::spec::SeqAsCa;
 use cal::core::text::format_trace;
-use cal::core::trace::CaTrace;
-use cal::core::{History, ObjectId};
+use cal::core::ObjectId;
 use cal::specs::dual_stack::DualStackSpec;
 use cal::specs::elim_array::ElimArraySpec;
 use cal::specs::exchanger::ExchangerSpec;
@@ -691,30 +687,40 @@ fn check_input(
                 // A seq-kind spec lifted to singleton elements is checked
                 // for classical linearizability, same as SeqAsCa built-ins.
                 let adjective = if def.is_sequential() { LIN } else { CA };
-                let result = run_ca(&history, &def.to_ca(object), &options);
+                let result = check_cal_with(&history, &def.to_ca(object), &options);
                 return render(result, adjective, format_trace, &sink, &options, start);
             }
             let Selected::Builtin(spec_name) = selected else { unreachable!() };
             let (result, adjective) = match spec_name.as_str() {
-                "exchanger" => (run_ca(&history, &ExchangerSpec::new(object), &options), CA),
-                "elim-array" => (run_ca(&history, &ElimArraySpec::new(object), &options), CA),
-                "sync-queue" => (run_ca(&history, &SyncQueueSpec::new(object), &options), CA),
+                "exchanger" => {
+                    (check_cal_with(&history, &ExchangerSpec::new(object), &options), CA)
+                }
+                "elim-array" => {
+                    (check_cal_with(&history, &ElimArraySpec::new(object), &options), CA)
+                }
+                "sync-queue" => {
+                    (check_cal_with(&history, &SyncQueueSpec::new(object), &options), CA)
+                }
                 "dual-stack" => {
-                    (run_ca(&history, &DualStackSpec::with_timeouts(object), &options), CA)
+                    (check_cal_with(&history, &DualStackSpec::with_timeouts(object), &options), CA)
                 }
-                "stack" => {
-                    (run_ca(&history, &SeqAsCa::new(StackSpec::total(object)), &options), LIN)
-                }
-                "failing-stack" => {
-                    (run_ca(&history, &SeqAsCa::new(StackSpec::failing(object)), &options), LIN)
-                }
-                "register" => {
-                    (run_ca(&history, &SeqAsCa::new(RegisterSpec::new(object)), &options), LIN)
-                }
-                "counter" => {
-                    (run_ca(&history, &SeqAsCa::new(CounterSpec::new(object)), &options), LIN)
-                }
-                "kv" => (run_ca(&history, &SeqAsCa::new(KvMapSpec::new()), &options), LIN),
+                "stack" => (
+                    check_cal_with(&history, &SeqAsCa::new(StackSpec::total(object)), &options),
+                    LIN,
+                ),
+                "failing-stack" => (
+                    check_cal_with(&history, &SeqAsCa::new(StackSpec::failing(object)), &options),
+                    LIN,
+                ),
+                "register" => (
+                    check_cal_with(&history, &SeqAsCa::new(RegisterSpec::new(object)), &options),
+                    LIN,
+                ),
+                "counter" => (
+                    check_cal_with(&history, &SeqAsCa::new(CounterSpec::new(object)), &options),
+                    LIN,
+                ),
+                "kv" => (check_cal_with(&history, &SeqAsCa::new(KvMapSpec::new()), &options), LIN),
                 other => return (Checked::Error(format!("unknown spec {other:?}")), None),
             };
             render(result, adjective, format_trace, &sink, &options, start)
@@ -722,7 +728,7 @@ fn check_input(
         CheckerMode::Seq => {
             if let Selected::Loaded(def) = selected {
                 let result = match def.to_seq(object) {
-                    Some(spec) => run_seq(&history, &spec, &options),
+                    Some(spec) => check_linearizable_with(&history, &spec, &options),
                     None => {
                         return (
                             Checked::Error(format!("spec {:?} is not sequential", def.name())),
@@ -734,11 +740,15 @@ fn check_input(
             }
             let Selected::Builtin(spec_name) = selected else { unreachable!() };
             let result = match spec_name.as_str() {
-                "stack" => run_seq(&history, &StackSpec::total(object), &options),
-                "failing-stack" => run_seq(&history, &StackSpec::failing(object), &options),
-                "register" => run_seq(&history, &RegisterSpec::new(object), &options),
-                "counter" => run_seq(&history, &CounterSpec::new(object), &options),
-                "kv" => run_seq(&history, &KvMapSpec::new(), &options),
+                "stack" => check_linearizable_with(&history, &StackSpec::total(object), &options),
+                "failing-stack" => {
+                    check_linearizable_with(&history, &StackSpec::failing(object), &options)
+                }
+                "register" => {
+                    check_linearizable_with(&history, &RegisterSpec::new(object), &options)
+                }
+                "counter" => check_linearizable_with(&history, &CounterSpec::new(object), &options),
+                "kv" => check_linearizable_with(&history, &KvMapSpec::new(), &options),
                 other => {
                     return (Checked::Error(format!("spec {other:?} is not sequential")), None)
                 }
@@ -748,7 +758,9 @@ fn check_input(
         CheckerMode::Interval => {
             if let Selected::Loaded(def) = selected {
                 let result = match def.to_seq(object) {
-                    Some(spec) => run_interval(&history, &SeqAsInterval::new(spec), &options),
+                    Some(spec) => {
+                        check_interval_with(&history, &SeqAsInterval::new(spec), &options)
+                    }
                     None => {
                         return (
                             Checked::Error(format!(
@@ -764,25 +776,31 @@ fn check_input(
             let Selected::Builtin(spec_name) = selected else { unreachable!() };
             let result = match spec_name.as_str() {
                 "write-snapshot" => {
-                    run_interval(&history, &WriteSnapshotSpec::new(object, 4), &options)
+                    check_interval_with(&history, &WriteSnapshotSpec::new(object, 4), &options)
                 }
-                "stack" => {
-                    run_interval(&history, &SeqAsInterval::new(StackSpec::total(object)), &options)
-                }
-                "failing-stack" => run_interval(
+                "stack" => check_interval_with(
+                    &history,
+                    &SeqAsInterval::new(StackSpec::total(object)),
+                    &options,
+                ),
+                "failing-stack" => check_interval_with(
                     &history,
                     &SeqAsInterval::new(StackSpec::failing(object)),
                     &options,
                 ),
-                "register" => run_interval(
+                "register" => check_interval_with(
                     &history,
                     &SeqAsInterval::new(RegisterSpec::new(object)),
                     &options,
                 ),
-                "counter" => {
-                    run_interval(&history, &SeqAsInterval::new(CounterSpec::new(object)), &options)
+                "counter" => check_interval_with(
+                    &history,
+                    &SeqAsInterval::new(CounterSpec::new(object)),
+                    &options,
+                ),
+                "kv" => {
+                    check_interval_with(&history, &SeqAsInterval::new(KvMapSpec::new()), &options)
                 }
-                "kv" => run_interval(&history, &SeqAsInterval::new(KvMapSpec::new()), &options),
                 other => {
                     return (
                         Checked::Error(format!("spec {other:?} has no interval reading")),
@@ -799,9 +817,7 @@ fn check_input(
             };
             let hb = match hb_policy {
                 HbPolicy::RealTime => Ok(HbRelation::real_time(&spans)),
-                HbPolicy::Session => {
-                    HbRelation::causal(&spans, hb_edges.as_deref().unwrap_or(&[]))
-                }
+                HbPolicy::Session => HbRelation::causal(&spans, hb_edges.as_deref().unwrap_or(&[])),
                 HbPolicy::Auto => match &hb_edges {
                     Some(edges) => HbRelation::causal(&spans, edges),
                     None => Ok(HbRelation::real_time(&spans)),
@@ -813,43 +829,69 @@ fn check_input(
             };
             if let Selected::Loaded(def) = selected {
                 let adjective = if def.is_sequential() { CLIN } else { CCA };
-                let result = run_causal(&history, &def.to_ca(object), &hb, &options);
+                let result = check_causal_with(&history, &def.to_ca(object), &hb, &options);
                 return render(result, adjective, format_trace, &sink, &options, start);
             }
             let Selected::Builtin(spec_name) = selected else { unreachable!() };
             let (result, adjective) = match spec_name.as_str() {
                 "exchanger" => {
-                    (run_causal(&history, &ExchangerSpec::new(object), &hb, &options), CCA)
+                    (check_causal_with(&history, &ExchangerSpec::new(object), &hb, &options), CCA)
                 }
                 "elim-array" => {
-                    (run_causal(&history, &ElimArraySpec::new(object), &hb, &options), CCA)
+                    (check_causal_with(&history, &ElimArraySpec::new(object), &hb, &options), CCA)
                 }
                 "sync-queue" => {
-                    (run_causal(&history, &SyncQueueSpec::new(object), &hb, &options), CCA)
+                    (check_causal_with(&history, &SyncQueueSpec::new(object), &hb, &options), CCA)
                 }
                 "dual-stack" => (
-                    run_causal(&history, &DualStackSpec::with_timeouts(object), &hb, &options),
+                    check_causal_with(
+                        &history,
+                        &DualStackSpec::with_timeouts(object),
+                        &hb,
+                        &options,
+                    ),
                     CCA,
                 ),
                 "stack" => (
-                    run_causal(&history, &SeqAsCa::new(StackSpec::total(object)), &hb, &options),
+                    check_causal_with(
+                        &history,
+                        &SeqAsCa::new(StackSpec::total(object)),
+                        &hb,
+                        &options,
+                    ),
                     CLIN,
                 ),
                 "failing-stack" => (
-                    run_causal(&history, &SeqAsCa::new(StackSpec::failing(object)), &hb, &options),
+                    check_causal_with(
+                        &history,
+                        &SeqAsCa::new(StackSpec::failing(object)),
+                        &hb,
+                        &options,
+                    ),
                     CLIN,
                 ),
                 "register" => (
-                    run_causal(&history, &SeqAsCa::new(RegisterSpec::new(object)), &hb, &options),
+                    check_causal_with(
+                        &history,
+                        &SeqAsCa::new(RegisterSpec::new(object)),
+                        &hb,
+                        &options,
+                    ),
                     CLIN,
                 ),
                 "counter" => (
-                    run_causal(&history, &SeqAsCa::new(CounterSpec::new(object)), &hb, &options),
+                    check_causal_with(
+                        &history,
+                        &SeqAsCa::new(CounterSpec::new(object)),
+                        &hb,
+                        &options,
+                    ),
                     CLIN,
                 ),
-                "kv" => {
-                    (run_causal(&history, &SeqAsCa::new(KvMapSpec::new()), &hb, &options), CLIN)
-                }
+                "kv" => (
+                    check_causal_with(&history, &SeqAsCa::new(KvMapSpec::new()), &hb, &options),
+                    CLIN,
+                ),
                 other => return (Checked::Error(format!("unknown spec {other:?}")), None),
             };
             render(result, adjective, format_trace, &sink, &options, start)
@@ -889,77 +931,6 @@ fn render<W>(
 /// style.
 fn format_interval_witness(witness: &IntervalWitness) -> String {
     witness.points().iter().map(|p| format!("{p}\n")).collect()
-}
-
-/// Dispatches to the sequential or parallel CAL checker per
-/// [`CheckOptions::threads`].
-fn run_ca<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_cal_par_with(history, spec, options)
-    } else {
-        check_cal_with(history, spec, options)
-    }
-}
-
-/// Like [`run_ca`] for the causal checker: the same membership search
-/// constrained by a happens-before order instead of `≺H`.
-fn run_causal<S>(
-    history: &History,
-    spec: &S,
-    hb: &HbRelation,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_causal_par_with(history, spec, hb, options)
-    } else {
-        check_causal_with(history, spec, hb, options)
-    }
-}
-
-/// Like [`run_ca`] for the classical linearizability checker.
-fn run_seq<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<CaTrace>, CheckError>
-where
-    S: SeqSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_linearizable_par_with(history, spec, options)
-    } else {
-        check_linearizable_with(history, spec, options)
-    }
-}
-
-/// Like [`run_ca`] for the interval-linearizability checker.
-fn run_interval<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_interval_par_with(history, spec, options)
-    } else {
-        check_interval_with(history, spec, options)
-    }
 }
 
 /// Checks every regular file under `dir` against the named specification,

@@ -9,9 +9,8 @@
 
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::gen::interleave;
-use cal::core::interval::{check_interval_par_with, check_interval_with, SeqAsInterval};
-use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
+use cal::core::interval::{check_interval_with, SeqAsInterval};
+use cal::core::seqlin::check_linearizable_with;
 use cal::core::spec::{SeqAsCa, SeqSpec};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::register::{read_op, write_op, CounterSpec, RegisterSpec};
@@ -100,8 +99,7 @@ fn category<W>(r: &Result<CheckOutcome<W>, CheckError>) -> String {
 /// threads.
 fn assert_cross_agreement<S>(h: &History, spec: &S)
 where
-    S: SeqSpec + Clone + Sync,
-    S::State: Send + Sync,
+    S: SeqSpec + Clone,
 {
     let options = CheckOptions::default();
     let cal = category(&check_cal_with(h, &SeqAsCa::new(spec.clone()), &options));
@@ -111,10 +109,10 @@ where
     assert_eq!(cal, interval, "CAL vs interval disagree\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pcal = category(&check_cal_par_with(h, &SeqAsCa::new(spec.clone()), &par));
-        let pseq = category(&check_linearizable_par_with(h, spec, &par));
+        let pcal = category(&check_cal_with(h, &SeqAsCa::new(spec.clone()), &par));
+        let pseq = category(&check_linearizable_with(h, spec, &par));
         let pinterval =
-            category(&check_interval_par_with(h, &SeqAsInterval::new(spec.clone()), &par));
+            category(&check_interval_with(h, &SeqAsInterval::new(spec.clone()), &par));
         assert_eq!(cal, pcal, "threads={threads}: parallel CAL diverged\nhistory:\n{h}");
         assert_eq!(cal, pseq, "threads={threads}: parallel seqlin diverged\nhistory:\n{h}");
         assert_eq!(

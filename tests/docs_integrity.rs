@@ -10,6 +10,9 @@
 //!   code named on its fence line.
 //! - The shipped `specs/*.cal` files compile and define the spec their
 //!   filename promises.
+//! - Every figure in EXPERIMENTS.md's E14 table matches the committed
+//!   `BENCH_checker.json` to the precision quoted, and the section quotes
+//!   the file's host caveat.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -162,4 +165,54 @@ fn shipped_spec_files_compile_and_define_their_namesake() {
         count += 1;
     }
     assert!(count >= 5, "expected at least 5 shipped specs/*.cal files, found {count}");
+}
+
+/// The number following `"key": ` in `json`, as written.
+fn json_number<'a>(json: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\": ");
+    let at = json.find(&pat).unwrap_or_else(|| panic!("no {key} in {json}"));
+    let rest = &json[at + pat.len()..];
+    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.')).unwrap_or(rest.len());
+    &rest[..end]
+}
+
+/// `quoted` (a figure as printed in the docs) names `value` rounded to
+/// the decimals `quoted` shows.
+fn matches_to_quoted_precision(quoted: &str, value: f64) -> bool {
+    let decimals = quoted.split_once('.').map_or(0, |(_, frac)| frac.len());
+    format!("{value:.decimals$}") == quoted
+}
+
+#[test]
+fn e14_figures_match_bench_checker_json() {
+    let json = doc("BENCH_checker.json");
+    let experiments = doc("EXPERIMENTS.md");
+    let start = experiments.find("## E14").expect("EXPERIMENTS.md has an E14 section");
+    let end = experiments[start + 1..].find("\n## ").map_or(experiments.len(), |e| start + 1 + e);
+    let section = &experiments[start..end];
+    let series: Vec<&str> = json.lines().filter(|l| l.contains("\"name\": ")).collect();
+    let mut rows = 0;
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let name = cells[1].trim_matches('`');
+        let line = series
+            .iter()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("E14 row {name} has no series in BENCH_checker.json"));
+        for (cell, key) in cells[2..5].iter().zip(["seq_ms", "par_ms", "speedup"]) {
+            let quoted = cell.trim_matches('*').trim_end_matches('×');
+            let value: f64 = json_number(line, key).parse().unwrap();
+            assert!(
+                matches_to_quoted_precision(quoted, value),
+                "E14 quotes {key} of {name} as {cell}, BENCH_checker.json says {value}"
+            );
+        }
+        rows += 1;
+    }
+    assert_eq!(rows, series.len(), "E14 must quote every series of BENCH_checker.json");
+    for key in ["host_cores", "degraded"] {
+        let value = json[json.find(&format!("\"{key}\": ")).unwrap()..].lines().next().unwrap();
+        let quoted = value.trim_end_matches(',');
+        assert!(section.contains(quoted), "E14 must quote the JSON's {quoted}");
+    }
 }

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::dsl::{self, SpecDef};
 use cal::core::gen::interleave;
-use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
+use cal::core::seqlin::check_linearizable_with;
 use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
@@ -136,8 +135,7 @@ fn category<W>(r: &Result<CheckOutcome<W>, CheckError>) -> String {
 /// parallel at 1, 2 and 4 threads.
 fn assert_ca_agreement<S>(h: &History, name: &str, native: &S)
 where
-    S: CaSpec + Clone + Sync,
-    S::State: Send + Sync,
+    S: CaSpec + Clone,
 {
     let def = shipped(name);
     let interpreted = def.to_ca(O);
@@ -147,7 +145,7 @@ where
     assert_eq!(want, got, "{name}: DSL vs native diverge\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pgot = category(&check_cal_par_with(h, &interpreted, &par));
+        let pgot = category(&check_cal_with(h, &interpreted, &par));
         assert_eq!(want, pgot, "{name}: threads={threads}: parallel DSL diverged\nhistory:\n{h}");
     }
 }
@@ -157,8 +155,7 @@ where
 /// with singleton lifting, sequentially and in parallel.
 fn assert_seq_agreement<S>(h: &History, name: &str, native: &S)
 where
-    S: SeqSpec + Clone + Sync,
-    S::State: Send + Sync,
+    S: SeqSpec + Clone,
 {
     let def = shipped(name);
     let interpreted = def.to_seq(O).expect("shipped seq spec has a sequential reading");
@@ -171,8 +168,8 @@ where
     assert_eq!(want_ca, got_ca, "{name}: DSL vs native diverge (CAL lift)\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pseq = category(&check_linearizable_par_with(h, &interpreted, &par));
-        let pca = category(&check_cal_par_with(h, &def.to_ca(O), &par));
+        let pseq = category(&check_linearizable_with(h, &interpreted, &par));
+        let pca = category(&check_cal_with(h, &def.to_ca(O), &par));
         assert_eq!(want, pseq, "{name}: threads={threads}: parallel seqlin diverged\nhistory:\n{h}");
         assert_eq!(
             want_ca, pca,

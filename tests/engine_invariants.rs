@@ -11,15 +11,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cal::core::causal::{causal_order, check_causal_par_with, check_causal_with};
+use cal::core::causal::{causal_order, check_causal_with};
 use cal::core::check::{check_cal_with, CancelToken, CheckOptions, Verdict};
 use cal::core::fpmemo::FpMemo;
 use cal::core::history::HbRelation;
-use cal::core::par::check_cal_par_with;
 use cal::core::gen::interleave;
-use cal::core::interval::{check_interval_par_with, check_interval_with};
+use cal::core::interval::check_interval_with;
 use cal::core::obs::{CountingSink, StatsSink};
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
+use cal::core::seqlin::check_linearizable_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::text::parse_history;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
@@ -137,36 +136,29 @@ fn label(o: &CheckOptions) -> String {
 /// verdict matches the sequential default-flags baseline. `baseline` and
 /// each matrix entry must decide (the generated instances are tiny and
 /// budgets default to 4M nodes, so anything undecided is itself a bug).
+/// `threads` in the options picks the driver, so one entry point covers
+/// both.
 fn assert_matrix_invariant<W: std::fmt::Debug>(
     h: &History,
-    seq: impl Fn(&CheckOptions) -> Verdict<W>,
-    par: impl Fn(&CheckOptions) -> Verdict<W>,
+    check: impl Fn(&CheckOptions) -> Verdict<W>,
 ) {
-    let baseline = seq(&CheckOptions::default());
+    let baseline = check(&CheckOptions::default());
     assert!(
         !baseline.is_undecided(),
         "baseline must decide tiny instances, got {baseline:?}\nhistory:\n{h}"
     );
-    // Sequential flag ablations first: memoization and symmetry must not
-    // change what the plain DFS decides.
-    for options in [
+    // Sequential flag ablations first (memoization and symmetry must not
+    // change what the plain DFS decides), then the parallel matrix.
+    let sequential_ablations = [
         CheckOptions { memoize: false, ..CheckOptions::default() },
         CheckOptions { symmetry: false, ..CheckOptions::default() },
-    ] {
-        let v = seq(&options);
+    ];
+    for options in sequential_ablations.into_iter().chain(option_matrix()) {
+        let v = check(&options);
         assert_eq!(
             baseline.is_cal(),
             v.is_cal(),
-            "sequential {} diverged: {baseline:?} vs {v:?}\nhistory:\n{h}",
-            label(&options)
-        );
-    }
-    for options in option_matrix() {
-        let v = par(&options);
-        assert_eq!(
-            baseline.is_cal(),
-            v.is_cal(),
-            "parallel {} diverged: {baseline:?} vs {v:?}\nhistory:\n{h}",
+            "{} diverged: {baseline:?} vs {v:?}\nhistory:\n{h}",
             label(&options)
         );
     }
@@ -181,7 +173,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_cal_par_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -191,7 +182,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_cal_par_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -201,7 +191,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_linearizable_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_linearizable_par_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -214,7 +203,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_cal_par_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -230,7 +218,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_causal_with(&h, &spec, &hb, o).expect("well-formed").verdict,
-            |o| check_causal_par_with(&h, &spec, &hb, o).expect("well-formed").verdict,
         );
     }
 
@@ -244,7 +231,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_causal_with(&h, &spec, &hb, o).expect("well-formed").verdict,
-            |o| check_causal_par_with(&h, &spec, &hb, o).expect("well-formed").verdict,
         );
         let cal = check_cal_with(&h, &spec, &CheckOptions::default()).expect("well-formed");
         let causal = check_causal_with(&h, &spec, &hb, &CheckOptions::default())
@@ -262,7 +248,6 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_interval_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_interval_par_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 }
@@ -410,7 +395,7 @@ proptest! {
             sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
             ..CheckOptions::default()
         };
-        let outcome = check_cal_par_with(&h, &spec, &options).expect("well-formed");
+        let outcome = check_cal_with(&h, &spec, &options).expect("well-formed");
         prop_assert!(
             matches!(outcome.verdict, Verdict::Interrupted { .. }),
             "expected an interrupt, got {:?}", outcome.verdict

@@ -36,14 +36,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use cal::core::causal::{
-    causal_order, check_causal_par_with, check_causal_with, witness_explains_causal,
-};
+use cal::core::causal::{causal_order, check_causal_with, witness_explains_causal};
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::dsl;
 use cal::core::format::{parse_annotated, Format};
 use cal::core::history::HbRelation;
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal::core::{History, ObjectId};
 use cal::specs::dual_stack::DualStackSpec;
@@ -190,11 +187,7 @@ fn load_corpus() -> Vec<Fixture> {
 }
 
 /// Runs one fixture against `spec`, sequentially and in parallel.
-fn run_fixture<S>(fx: &Fixture, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn run_fixture<S: CaSpec>(fx: &Fixture, spec: &S) {
     let Some(history) = &fx.history else { return };
     let check = |label: &str, verdict: &Verdict| match (fx.expect, verdict) {
         (Expect::Cal, Verdict::Cal(w)) => {
@@ -217,7 +210,7 @@ where
     check("sequential", &seq.verdict);
     for threads in [1usize, 2, 8] {
         let par_options = CheckOptions { threads, ..options.clone() };
-        let par = check_cal_par_with(history, spec, &par_options)
+        let par = check_cal_with(history, spec, &par_options)
             .unwrap_or_else(|e| panic!("{}: parallel checker errored: {e}", fx.name));
         check(&format!("parallel({threads})"), &par.verdict);
     }
@@ -227,11 +220,7 @@ where
 /// declared edges when the trace is annotated and the real-time order
 /// otherwise (the binary's `--hb auto` policy), and the expected verdict
 /// is [`Fixture::causal_expect`].
-fn run_causal_fixture<S>(fx: &Fixture, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn run_causal_fixture<S: CaSpec>(fx: &Fixture, spec: &S) {
     let Some(history) = &fx.history else { return };
     let hb = match &fx.hb_edges {
         Some(edges) => causal_order(history, edges)
@@ -260,7 +249,7 @@ where
     check("causal sequential", &seq.verdict);
     for threads in [2usize, 8] {
         let par_options = CheckOptions { threads, ..options.clone() };
-        let par = check_causal_par_with(history, spec, &hb, &par_options)
+        let par = check_causal_with(history, spec, &hb, &par_options)
             .unwrap_or_else(|e| panic!("{}: parallel causal checker errored: {e}", fx.name));
         check(&format!("causal parallel({threads})"), &par.verdict);
     }
@@ -270,20 +259,13 @@ where
 /// implemented once for CAL mode and once for causal mode so the
 /// spec-name dispatch below is written a single time.
 trait FixtureRunner {
-    fn run<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync;
+    fn run<S: CaSpec>(&self, fx: &Fixture, spec: &S);
 }
 
 struct CalRunner;
 
 impl FixtureRunner for CalRunner {
-    fn run<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn run<S: CaSpec>(&self, fx: &Fixture, spec: &S) {
         run_fixture(fx, spec);
     }
 }
@@ -291,11 +273,7 @@ impl FixtureRunner for CalRunner {
 struct CausalRunner;
 
 impl FixtureRunner for CausalRunner {
-    fn run<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn run<S: CaSpec>(&self, fx: &Fixture, spec: &S) {
         run_causal_fixture(fx, spec);
     }
 }

@@ -1,15 +1,15 @@
 //! Differential testing of the parallel checker against the sequential
 //! one: for arbitrary generated histories and every specification in
-//! `cal-specs`, `check_cal_par_with` at 1, 2 and 8 threads must return
-//! the same verdict as `check_cal_with` — and, when the verdict is CAL,
-//! a witness the sequential machinery validates ([`witness_explains`]).
+//! `cal-specs`, `check_cal_with` at 1, 2 and 8 threads (the thread
+//! count picks the driver) must return the same verdict as the default
+//! sequential run — and, when the verdict is CAL, a witness the
+//! sequential machinery validates ([`witness_explains`]).
 
 use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::gen::interleave;
 use cal::core::obs::{CountingSink, StatsSink};
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::dual_stack::DualStackSpec;
@@ -134,28 +134,20 @@ fn category(r: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckEr
 
 /// Re-runs a check with a [`CountingSink`] attached and asserts the
 /// verdict category is unchanged — observation must not perturb the
-/// search. For deterministic (sequential) runs the sink's node count
-/// must also agree with the checker's own stats.
-fn assert_sink_is_inert<S>(
+/// search — and that the sink's node count agrees with the checker's
+/// own stats.
+fn assert_sink_is_inert<S: CaSpec>(
     h: &History,
     spec: &S,
     options: &CheckOptions,
     baseline: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckError>,
-    parallel: bool,
-) where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+) {
     let sink = Arc::new(CountingSink::new());
     let counted = CheckOptions {
         sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
         ..options.clone()
     };
-    let observed = if parallel {
-        check_cal_par_with(h, spec, &counted)
-    } else {
-        check_cal_with(h, spec, &counted)
-    };
+    let observed = check_cal_with(h, spec, &counted);
     assert_eq!(
         category(baseline),
         category(&observed),
@@ -174,18 +166,14 @@ fn assert_sink_is_inert<S>(
 
 /// The core oracle: sequential and parallel checks agree on `h`, and
 /// parallel CAL witnesses explain `h`. Panics on divergence.
-fn assert_equivalent<S>(h: &History, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_equivalent<S: CaSpec>(h: &History, spec: &S) {
     let options = CheckOptions::default();
     let seq = check_cal_with(h, spec, &options);
-    assert_sink_is_inert(h, spec, &options, &seq, false);
+    assert_sink_is_inert(h, spec, &options, &seq);
     for threads in [1usize, 2, 8] {
         let par_options = CheckOptions { threads, ..CheckOptions::default() };
-        let par = check_cal_par_with(h, spec, &par_options);
-        assert_sink_is_inert(h, spec, &par_options, &par, true);
+        let par = check_cal_with(h, spec, &par_options);
+        assert_sink_is_inert(h, spec, &par_options, &par);
         match (&seq, &par) {
             (Ok(s), Ok(p)) => match (&s.verdict, &p.verdict) {
                 (Verdict::Cal(_), Verdict::Cal(w)) => {

@@ -18,7 +18,6 @@
 
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
 use cal::core::engine::{self, ExpandObs, SearchDomain};
-use cal::core::par::check_cal_par_with;
 use cal::core::text::parse_history;
 use cal::core::{History, ObjectId};
 use cal::specs::exchanger::ExchangerSpec;
@@ -103,7 +102,7 @@ fn shared_memo_bounds_parallel_duplication() {
     let spec = ExchangerSpec::new(O);
     let seq = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
     for threads in [2usize, 4, 8] {
-        let par = check_cal_par_with(
+        let par = check_cal_with(
             &h,
             &spec,
             &CheckOptions { threads, ..CheckOptions::default() },

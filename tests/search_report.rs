@@ -10,11 +10,12 @@ use std::time::Instant;
 
 use cal::core::check::{check_cal_with, CheckOptions};
 use cal::core::obs::{CountingSink, ObjectOutcome, SearchReport, StatsSink};
-use cal::core::par::check_cal_par_with;
-use cal::core::spec::PerObject;
+use cal::core::seqlin::check_linearizable_with;
+use cal::core::spec::{PerObject, SeqAsCa};
 use cal::core::text::parse_history;
 use cal::core::ObjectId;
 use cal::specs::exchanger::ExchangerSpec;
+use cal::specs::kv::KvMapSpec;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -65,7 +66,7 @@ fn parallel_frontier_report_records_branches_and_workers() {
     let sink = Arc::new(CountingSink::new());
     let options = counted_options(&sink, 4);
     let start = Instant::now();
-    let outcome = check_cal_par_with(&h, &spec, &options).unwrap();
+    let outcome = check_cal_with(&h, &spec, &options).unwrap();
     let report = sink.report(&outcome, &options, start.elapsed());
 
     assert_eq!(report.verdict, "cal");
@@ -87,7 +88,7 @@ fn decomposed_report_has_one_outcome_per_object() {
     let sink = Arc::new(CountingSink::new());
     let options = counted_options(&sink, 4);
     let start = Instant::now();
-    let outcome = check_cal_par_with(&h, &spec, &options).unwrap();
+    let outcome = check_cal_with(&h, &spec, &options).unwrap();
     let report = sink.report(&outcome, &options, start.elapsed());
 
     assert_eq!(report.verdict, "cal");
@@ -97,6 +98,41 @@ fn decomposed_report_has_one_outcome_per_object() {
         assert!(object.wall_ms >= 0.0);
     }
     assert_eq!(sink.nodes(), outcome.stats.nodes);
+}
+
+/// `CheckOptions::threads` picks the driver behind the one entry point
+/// of each mode: on a two-key history with a restrictable spec, CAL and
+/// classical linearizability at two threads decompose per object (one
+/// outcome row per key), and at one thread run the sequential search
+/// (no rows).
+#[test]
+fn threads_pick_the_driver_in_cal_and_seq_modes() {
+    let h = parse_history(
+        "t1 inv o0.write 1\n\
+         t2 inv o1.write 2\n\
+         t1 res o0.write ()\n\
+         t2 res o1.write ()\n\
+         t1 inv o0.read ()\n\
+         t2 inv o1.read ()\n\
+         t1 res o0.read 1\n\
+         t2 res o1.read 2\n",
+    )
+    .unwrap();
+    let kv = KvMapSpec::new();
+    for threads in [1, 2] {
+        let cal_sink = Arc::new(CountingSink::new());
+        let cal_options = counted_options(&cal_sink, threads);
+        let cal = check_cal_with(&h, &SeqAsCa::new(kv.clone()), &cal_options).unwrap();
+        let seq_sink = Arc::new(CountingSink::new());
+        let seq = check_linearizable_with(&h, &kv, &counted_options(&seq_sink, threads)).unwrap();
+        assert!(cal.verdict.is_cal() && seq.verdict.is_cal(), "threads={threads}");
+        let rows = if threads == 1 { 0 } else { 2 };
+        for (mode, sink) in [("cal", &cal_sink), ("seq", &seq_sink)] {
+            let objects = sink.object_reports();
+            assert_eq!(objects.len(), rows, "{mode} at threads={threads}: {objects:?}");
+            assert!(objects.iter().all(|o| o.outcome == ObjectOutcome::Cal), "{mode}");
+        }
+    }
 }
 
 /// Minimal JSON shape validation without a JSON parser: balanced braces,
