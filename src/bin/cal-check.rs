@@ -10,7 +10,7 @@
 //!                  [--hb auto|session|real-time] [--object <N>]
 //!                  [--format auto|native|jepsen|kvlog]
 //!                  [--deadline-ms <N>] [--max-nodes <N>] [--threads <N>]
-//!                  [--stats] [--stats-json <PATH>] [--explain]
+//!                  [--no-symmetry] [--stats] [--stats-json <PATH>] [--explain]
 //!        cal-check <SPEC> --batch <DIR> [--spec <FILE.cal>]
 //!                  [--mode cal|seq|interval|causal] [--hb auto|session|real-time]
 //!                  [--object <N>] [--format auto|native|jepsen|kvlog]
@@ -40,18 +40,19 @@
 //! diagnostic (code, message, line and column) and exits 3. Loaded spec
 //! names *shadow* the built-ins, so a file may deliberately redefine
 //! `register`. If the file defines exactly one spec, the positional SPEC
-//! may be omitted; with several, name one. Mode gating is as for the
-//! built-ins: `kind seq` specs check in every `--mode`, `kind ca` specs
-//! only under `--mode cal`.
+//! may be omitted; with several, name one. `kind seq` and `kind ca`
+//! specs are gated like sequential and concurrency-aware built-ins.
 //!
 //! `--mode` selects the checker, all of which run on the shared search
 //! kernel: `cal` (concurrency-aware linearizability; sequential specs
-//! are lifted to singleton elements), `seq` (classical linearizability;
-//! sequential specs only), `interval` (interval-linearizability;
-//! sequential specs become singleton-interval specs, plus the
-//! interval-native `write-snapshot`), or `causal` (the CAL membership
-//! search constrained by a happens-before *partial* order instead of the
-//! real-time total order — the weak-memory reading of a trace).
+//! are lifted to singleton elements), `seq` (classical linearizability),
+//! `interval` (interval-linearizability; sequential specs become
+//! singleton-interval specs), or `causal` (the CAL membership search
+//! constrained by a happens-before *partial* order instead of the
+//! real-time total order — the weak-memory reading of a trace). The
+//! spec's kind picks the modes: sequential specs check in every mode,
+//! concurrency-aware specs in `cal` and `causal`, interval-native specs
+//! in `interval`; any other pairing is a usage error.
 //!
 //! `--hb` picks causal mode's order source. `auto` (the default) uses
 //! the trace's declared causality metadata — kvlog `hb session` / `hb
@@ -99,29 +100,20 @@ use std::time::{Duration, Instant};
 
 use cal::chaos::driver::{run_once, ChaosVerdict, Mode, RunConfig, TargetKind};
 use cal::chaos::Profile;
+use cal::cli::{
+    parse_seed, select_spec, Kind, LoadedSpecs, SelectedSpec, SpecVisitor, EXIT_ACCEPTED,
+    EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
+};
 use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
-use cal::core::dsl::{self, SpecDef};
-use cal::core::history::HbRelation;
-use cal::core::interval::{check_interval_with, IntervalWitness, SeqAsInterval};
 use cal::core::format::{self, Format};
+use cal::core::history::HbRelation;
+use cal::core::interval::{check_interval_with, IntervalSpec, IntervalWitness, SeqAsInterval};
 use cal::core::obs::{CountingSink, SearchReport};
 use cal::core::seqlin::check_linearizable_with;
-use cal::core::spec::SeqAsCa;
+use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal::core::text::format_trace;
-use cal::core::ObjectId;
-use cal::specs::dual_stack::DualStackSpec;
-use cal::specs::elim_array::ElimArraySpec;
-use cal::specs::exchanger::ExchangerSpec;
-use cal::specs::kv::KvMapSpec;
-use cal::specs::register::{CounterSpec, RegisterSpec};
-use cal::specs::snapshot::WriteSnapshotSpec;
-use cal::specs::stack::StackSpec;
-use cal::specs::sync_queue::SyncQueueSpec;
-
-use cal::cli::{
-    parse_seed, EXIT_ACCEPTED, EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
-};
+use cal::core::{History, ObjectId};
 
 /// Broken-pipe-safe printing: all output goes through these macros, which
 /// bubble `io::Error` up to [`main`] where `BrokenPipe` becomes a clean
@@ -206,6 +198,24 @@ enum HbPolicy {
     /// The real-time total order `≺H`; causal mode then agrees with CAL
     /// mode on every input (the differential anchor).
     RealTime,
+}
+
+impl CheckerMode {
+    /// The mode × kind table: the verdict adjective for a spec of `kind`
+    /// checked in this mode, or `None` where the kind has no reading in
+    /// this mode (a usage error). Sequential specs check in every mode;
+    /// concurrency-aware specs in cal and causal mode; interval-native
+    /// specs in interval mode.
+    fn adjective(self, kind: Kind) -> Option<&'static str> {
+        match (self, kind) {
+            (CheckerMode::Cal, Kind::Ca) => Some("concurrency-aware linearizable"),
+            (CheckerMode::Cal | CheckerMode::Seq, Kind::Seq) => Some("linearizable"),
+            (CheckerMode::Interval, Kind::Seq | Kind::Interval) => Some("interval-linearizable"),
+            (CheckerMode::Causal, Kind::Ca) => Some("causally concurrency-aware linearizable"),
+            (CheckerMode::Causal, Kind::Seq) => Some("causally linearizable"),
+            _ => None,
+        }
+    }
 }
 
 impl HbPolicy {
@@ -390,68 +400,22 @@ fn try_main() -> io::Result<ExitCode> {
 
     // Loading happens before any history is read, so a bad .cal file
     // fails fast (exit 3) even when the input would come from stdin.
-    let loaded: Option<dsl::SpecFile> = match &spec_file {
-        Some(path) => {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    errln!("cal-check: cannot read {path}: {e}")?;
-                    return Ok(ExitCode::from(EXIT_ERROR));
-                }
-            };
-            match dsl::parse_str(&src) {
-                Ok(f) => Some(f),
-                Err(diag) => {
-                    errln!("cal-check: {path}: {diag}")?;
-                    return Ok(ExitCode::from(EXIT_ERROR));
-                }
-            }
-        }
+    let loaded = match spec_file.as_deref().map(|p| LoadedSpecs::load("cal-check", p)) {
+        Some(Ok(l)) => Some(l),
+        Some(Err(code)) => return Ok(ExitCode::from(code)),
         None => None,
     };
     // With --spec, a single positional that names no loaded spec is the
     // input file — `cal-check --spec one.cal trace.hist` just works.
-    if let Some(sf) = &loaded {
-        if file.is_none() {
-            if let Some(name) = &spec_name {
-                if sf.get(name).is_none() {
-                    file = spec_name.take();
-                }
-            }
+    if let (Some(l), None, Some(name)) = (&loaded, &file, &spec_name) {
+        if !l.defines(name) {
+            file = spec_name.take();
         }
     }
-
-    let selected = match (&loaded, &spec_name) {
-        (Some(sf), Some(name)) => match sf.get(name) {
-            Some(def) => Selected::Loaded(Arc::clone(def)),
-            None if known_spec(name) => Selected::Builtin(name.clone()),
-            None => {
-                errln!("cal-check: unknown spec {name:?} (not in {} either)", spec_file.unwrap())?;
-                return usage();
-            }
-        },
-        (Some(sf), None) => match sf.specs() {
-            [only] => Selected::Loaded(Arc::clone(only)),
-            many => {
-                errln!(
-                    "cal-check: {} defines {} specs ({}); name one as the SPEC argument",
-                    spec_file.unwrap(),
-                    many.len(),
-                    sf.names().join(", ")
-                )?;
-                return usage();
-            }
-        },
-        (None, Some(name)) => {
-            if !known_spec(name) {
-                errln!("cal-check: unknown spec {name:?}")?;
-                return usage();
-            }
-            Selected::Builtin(name.clone())
-        }
-        (None, None) => return usage(),
+    let Some(selected) = select_spec("cal-check", loaded.as_ref(), spec_name.as_deref()) else {
+        return usage();
     };
-    if !selected.supports(mode) {
+    if mode.adjective(selected.kind()).is_none() {
         errln!("cal-check: spec {:?} is not checkable in this --mode", selected.name())?;
         return usage();
     }
@@ -573,67 +537,6 @@ enum Checked {
     Error(String),
 }
 
-/// The specification a file/batch invocation checks against: a built-in
-/// (by name) or a spec compiled from a `--spec` file. Loaded specs shadow
-/// built-ins on name collision.
-#[derive(Clone)]
-enum Selected {
-    Builtin(String),
-    Loaded(Arc<SpecDef>),
-}
-
-impl Selected {
-    fn name(&self) -> &str {
-        match self {
-            Selected::Builtin(name) => name,
-            Selected::Loaded(def) => def.name(),
-        }
-    }
-
-    /// Mode gating, uniform with the built-ins: sequential specs check
-    /// everywhere, concurrency-aware specs only under `--mode cal` or
-    /// `--mode causal` (the same membership search, weaker order).
-    fn supports(&self, mode: CheckerMode) -> bool {
-        match self {
-            Selected::Builtin(name) => spec_supports(name, mode),
-            Selected::Loaded(def) => {
-                def.is_sequential()
-                    || matches!(mode, CheckerMode::Cal | CheckerMode::Causal)
-            }
-        }
-    }
-}
-
-fn known_spec(name: &str) -> bool {
-    matches!(
-        name,
-        "exchanger"
-            | "elim-array"
-            | "sync-queue"
-            | "dual-stack"
-            | "stack"
-            | "failing-stack"
-            | "register"
-            | "counter"
-            | "kv"
-            | "write-snapshot"
-    )
-}
-
-/// Which `--mode`s can check which spec: concurrency-aware specs are
-/// CAL-only, sequential specs work in every mode (lifted to singleton
-/// elements / singleton intervals), `write-snapshot` is interval-native.
-fn spec_supports(name: &str, mode: CheckerMode) -> bool {
-    match name {
-        "exchanger" | "elim-array" | "sync-queue" | "dual-stack" => {
-            matches!(mode, CheckerMode::Cal | CheckerMode::Causal)
-        }
-        "stack" | "failing-stack" | "register" | "counter" | "kv" => true,
-        "write-snapshot" => mode == CheckerMode::Interval,
-        _ => false,
-    }
-}
-
 /// Parses `input` (in the explicit format, or sniffed) and checks it
 /// against the named specification with the selected checker. With
 /// `want_report` a [`CountingSink`] rides along and the checker's
@@ -646,7 +549,7 @@ fn spec_supports(name: &str, mode: CheckerMode) -> bool {
 /// input line.
 #[allow(clippy::too_many_arguments)]
 fn check_input(
-    selected: &Selected,
+    selected: &SelectedSpec,
     mode: CheckerMode,
     hb_policy: HbPolicy,
     trace_format: Option<Format>,
@@ -670,261 +573,113 @@ fn check_input(
         }
     };
     let object = object.or_else(|| history.objects().first().copied()).unwrap_or(ObjectId(0));
+    let start = Instant::now();
+    let hb = if mode == CheckerMode::Causal {
+        let spans = match history.try_spans() {
+            Ok(s) => s,
+            Err(e) => return (Checked::Error(format!("ill-formed history: {e}")), None),
+        };
+        let hb = match hb_policy {
+            HbPolicy::RealTime => Ok(HbRelation::real_time(&spans)),
+            HbPolicy::Session => HbRelation::causal(&spans, hb_edges.as_deref().unwrap_or(&[])),
+            HbPolicy::Auto => match &hb_edges {
+                Some(edges) => HbRelation::causal(&spans, edges),
+                None => Ok(HbRelation::real_time(&spans)),
+            },
+        };
+        match hb {
+            Ok(hb) => Some(hb),
+            Err(e) => return (Checked::Error(format!("happens-before: {e}")), None),
+        }
+    } else {
+        None
+    };
     let sink = want_report.then(|| Arc::new(CountingSink::new()));
     let options = CheckOptions {
         sink: sink.clone().map(|s| s as Arc<dyn cal::core::obs::StatsSink>),
         ..options.clone()
     };
-    let start = Instant::now();
-    const CA: &str = "concurrency-aware linearizable";
-    const LIN: &str = "linearizable";
-    const INT: &str = "interval-linearizable";
-    const CCA: &str = "causally concurrency-aware linearizable";
-    const CLIN: &str = "causally linearizable";
-    match mode {
-        CheckerMode::Cal => {
-            if let Selected::Loaded(def) = selected {
-                // A seq-kind spec lifted to singleton elements is checked
-                // for classical linearizability, same as SeqAsCa built-ins.
-                let adjective = if def.is_sequential() { LIN } else { CA };
-                let result = check_cal_with(&history, &def.to_ca(object), &options);
-                return render(result, adjective, format_trace, &sink, &options, start);
+    let adjective = mode.adjective(selected.kind()).expect("mode gated before checking");
+    let run = Run { mode, adjective, history: &history, hb, options, sink, start };
+    selected.visit(object, run)
+}
+
+/// One history's check in one mode, dispatched on the spec's kind.
+struct Run<'a> {
+    mode: CheckerMode,
+    adjective: &'static str,
+    history: &'a History,
+    /// The happens-before order; `Some` exactly in causal mode.
+    hb: Option<HbRelation>,
+    options: CheckOptions,
+    sink: Option<Arc<CountingSink>>,
+    start: Instant,
+}
+
+impl SpecVisitor for Run<'_> {
+    type Output = (Checked, Option<SearchReport>);
+
+    /// Concurrency-aware specs: cal and causal modes.
+    fn ca<S: CaSpec>(self, spec: S) -> Self::Output {
+        let result = match &self.hb {
+            Some(hb) => check_causal_with(self.history, &spec, hb, &self.options),
+            None => check_cal_with(self.history, &spec, &self.options),
+        };
+        self.render(result, format_trace)
+    }
+
+    /// Sequential specs: every mode, lifted through `SeqAsCa` in cal and
+    /// causal mode and through `SeqAsInterval` in interval mode.
+    fn seq<S: SeqSpec + Send + 'static>(self, spec: S) -> Self::Output {
+        match self.mode {
+            CheckerMode::Cal | CheckerMode::Causal => self.ca(SeqAsCa::new(spec)),
+            CheckerMode::Seq => {
+                let result = check_linearizable_with(self.history, &spec, &self.options);
+                self.render(result, format_trace)
             }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let (result, adjective) = match spec_name.as_str() {
-                "exchanger" => {
-                    (check_cal_with(&history, &ExchangerSpec::new(object), &options), CA)
-                }
-                "elim-array" => {
-                    (check_cal_with(&history, &ElimArraySpec::new(object), &options), CA)
-                }
-                "sync-queue" => {
-                    (check_cal_with(&history, &SyncQueueSpec::new(object), &options), CA)
-                }
-                "dual-stack" => {
-                    (check_cal_with(&history, &DualStackSpec::with_timeouts(object), &options), CA)
-                }
-                "stack" => (
-                    check_cal_with(&history, &SeqAsCa::new(StackSpec::total(object)), &options),
-                    LIN,
-                ),
-                "failing-stack" => (
-                    check_cal_with(&history, &SeqAsCa::new(StackSpec::failing(object)), &options),
-                    LIN,
-                ),
-                "register" => (
-                    check_cal_with(&history, &SeqAsCa::new(RegisterSpec::new(object)), &options),
-                    LIN,
-                ),
-                "counter" => (
-                    check_cal_with(&history, &SeqAsCa::new(CounterSpec::new(object)), &options),
-                    LIN,
-                ),
-                "kv" => (check_cal_with(&history, &SeqAsCa::new(KvMapSpec::new()), &options), LIN),
-                other => return (Checked::Error(format!("unknown spec {other:?}")), None),
-            };
-            render(result, adjective, format_trace, &sink, &options, start)
+            CheckerMode::Interval => self.interval(SeqAsInterval::new(spec)),
         }
-        CheckerMode::Seq => {
-            if let Selected::Loaded(def) = selected {
-                let result = match def.to_seq(object) {
-                    Some(spec) => check_linearizable_with(&history, &spec, &options),
-                    None => {
-                        return (
-                            Checked::Error(format!("spec {:?} is not sequential", def.name())),
-                            None,
-                        )
-                    }
-                };
-                return render(result, LIN, format_trace, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let result = match spec_name.as_str() {
-                "stack" => check_linearizable_with(&history, &StackSpec::total(object), &options),
-                "failing-stack" => {
-                    check_linearizable_with(&history, &StackSpec::failing(object), &options)
-                }
-                "register" => {
-                    check_linearizable_with(&history, &RegisterSpec::new(object), &options)
-                }
-                "counter" => check_linearizable_with(&history, &CounterSpec::new(object), &options),
-                "kv" => check_linearizable_with(&history, &KvMapSpec::new(), &options),
-                other => {
-                    return (Checked::Error(format!("spec {other:?} is not sequential")), None)
-                }
-            };
-            render(result, LIN, format_trace, &sink, &options, start)
-        }
-        CheckerMode::Interval => {
-            if let Selected::Loaded(def) = selected {
-                let result = match def.to_seq(object) {
-                    Some(spec) => {
-                        check_interval_with(&history, &SeqAsInterval::new(spec), &options)
-                    }
-                    None => {
-                        return (
-                            Checked::Error(format!(
-                                "spec {:?} has no interval reading",
-                                def.name()
-                            )),
-                            None,
-                        )
-                    }
-                };
-                return render(result, INT, format_interval_witness, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let result = match spec_name.as_str() {
-                "write-snapshot" => {
-                    check_interval_with(&history, &WriteSnapshotSpec::new(object, 4), &options)
-                }
-                "stack" => check_interval_with(
-                    &history,
-                    &SeqAsInterval::new(StackSpec::total(object)),
-                    &options,
-                ),
-                "failing-stack" => check_interval_with(
-                    &history,
-                    &SeqAsInterval::new(StackSpec::failing(object)),
-                    &options,
-                ),
-                "register" => check_interval_with(
-                    &history,
-                    &SeqAsInterval::new(RegisterSpec::new(object)),
-                    &options,
-                ),
-                "counter" => check_interval_with(
-                    &history,
-                    &SeqAsInterval::new(CounterSpec::new(object)),
-                    &options,
-                ),
-                "kv" => {
-                    check_interval_with(&history, &SeqAsInterval::new(KvMapSpec::new()), &options)
-                }
-                other => {
-                    return (
-                        Checked::Error(format!("spec {other:?} has no interval reading")),
-                        None,
-                    )
-                }
-            };
-            render(result, INT, format_interval_witness, &sink, &options, start)
-        }
-        CheckerMode::Causal => {
-            let spans = match history.try_spans() {
-                Ok(s) => s,
-                Err(e) => return (Checked::Error(format!("ill-formed history: {e}")), None),
-            };
-            let hb = match hb_policy {
-                HbPolicy::RealTime => Ok(HbRelation::real_time(&spans)),
-                HbPolicy::Session => HbRelation::causal(&spans, hb_edges.as_deref().unwrap_or(&[])),
-                HbPolicy::Auto => match &hb_edges {
-                    Some(edges) => HbRelation::causal(&spans, edges),
-                    None => Ok(HbRelation::real_time(&spans)),
-                },
-            };
-            let hb = match hb {
-                Ok(hb) => hb,
-                Err(e) => return (Checked::Error(format!("happens-before: {e}")), None),
-            };
-            if let Selected::Loaded(def) = selected {
-                let adjective = if def.is_sequential() { CLIN } else { CCA };
-                let result = check_causal_with(&history, &def.to_ca(object), &hb, &options);
-                return render(result, adjective, format_trace, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let (result, adjective) = match spec_name.as_str() {
-                "exchanger" => {
-                    (check_causal_with(&history, &ExchangerSpec::new(object), &hb, &options), CCA)
-                }
-                "elim-array" => {
-                    (check_causal_with(&history, &ElimArraySpec::new(object), &hb, &options), CCA)
-                }
-                "sync-queue" => {
-                    (check_causal_with(&history, &SyncQueueSpec::new(object), &hb, &options), CCA)
-                }
-                "dual-stack" => (
-                    check_causal_with(
-                        &history,
-                        &DualStackSpec::with_timeouts(object),
-                        &hb,
-                        &options,
-                    ),
-                    CCA,
-                ),
-                "stack" => (
-                    check_causal_with(
-                        &history,
-                        &SeqAsCa::new(StackSpec::total(object)),
-                        &hb,
-                        &options,
-                    ),
-                    CLIN,
-                ),
-                "failing-stack" => (
-                    check_causal_with(
-                        &history,
-                        &SeqAsCa::new(StackSpec::failing(object)),
-                        &hb,
-                        &options,
-                    ),
-                    CLIN,
-                ),
-                "register" => (
-                    check_causal_with(
-                        &history,
-                        &SeqAsCa::new(RegisterSpec::new(object)),
-                        &hb,
-                        &options,
-                    ),
-                    CLIN,
-                ),
-                "counter" => (
-                    check_causal_with(
-                        &history,
-                        &SeqAsCa::new(CounterSpec::new(object)),
-                        &hb,
-                        &options,
-                    ),
-                    CLIN,
-                ),
-                "kv" => (
-                    check_causal_with(&history, &SeqAsCa::new(KvMapSpec::new()), &hb, &options),
-                    CLIN,
-                ),
-                other => return (Checked::Error(format!("unknown spec {other:?}")), None),
-            };
-            render(result, adjective, format_trace, &sink, &options, start)
-        }
+    }
+
+    /// Interval-native specs: interval mode only.
+    fn interval<S: IntervalSpec>(self, spec: S) -> Self::Output {
+        let result = check_interval_with(self.history, &spec, &self.options);
+        self.render(result, format_interval_witness)
     }
 }
 
-/// Folds a checker outcome (any witness type) into a renderable
-/// [`Checked`] plus, if a sink rode along, its [`SearchReport`].
-fn render<W>(
-    result: Result<CheckOutcome<W>, CheckError>,
-    adjective: &'static str,
-    format_witness: impl Fn(&W) -> String,
-    sink: &Option<Arc<CountingSink>>,
-    options: &CheckOptions,
-    start: Instant,
-) -> (Checked, Option<SearchReport>) {
-    let report = match (sink, &result) {
-        (Some(sink), Ok(outcome)) => Some(sink.report(outcome, options, start.elapsed())),
-        _ => None,
-    };
-    let checked = match result {
-        Ok(outcome) => match outcome.verdict {
-            Verdict::Cal(witness) => {
-                Checked::Accepted { adjective, witness: format_witness(&witness) }
+impl Run<'_> {
+    /// Folds a checker outcome (any witness type) into a renderable
+    /// [`Checked`] plus, if a sink rode along, its [`SearchReport`].
+    fn render<W>(
+        &self,
+        result: Result<CheckOutcome<W>, CheckError>,
+        format_witness: impl Fn(&W) -> String,
+    ) -> (Checked, Option<SearchReport>) {
+        let report = match (&self.sink, &result) {
+            (Some(sink), Ok(outcome)) => {
+                Some(sink.report(outcome, &self.options, self.start.elapsed()))
             }
-            Verdict::NotCal => Checked::Rejected { adjective },
-            Verdict::ResourcesExhausted => Checked::Undecided("node budget exhausted".to_string()),
-            Verdict::Interrupted { reason } => Checked::Undecided(format!("interrupted ({reason})")),
-        },
-        Err(e) => Checked::Error(e.to_string()),
-    };
-    (checked, report)
+            _ => None,
+        };
+        let adjective = self.adjective;
+        let checked = match result {
+            Ok(outcome) => match outcome.verdict {
+                Verdict::Cal(witness) => {
+                    Checked::Accepted { adjective, witness: format_witness(&witness) }
+                }
+                Verdict::NotCal => Checked::Rejected { adjective },
+                Verdict::ResourcesExhausted => {
+                    Checked::Undecided("node budget exhausted".to_string())
+                }
+                Verdict::Interrupted { reason } => {
+                    Checked::Undecided(format!("interrupted ({reason})"))
+                }
+            },
+            Err(e) => Checked::Error(e.to_string()),
+        };
+        (checked, report)
+    }
 }
 
 /// One witness point per line, matching the trace format's line-oriented
@@ -940,7 +695,7 @@ fn format_interval_witness(witness: &IntervalWitness) -> String {
 /// may mix native, jepsen, and kvlog traces.
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
-    selected: &Selected,
+    selected: &SelectedSpec,
     mode: CheckerMode,
     hb_policy: HbPolicy,
     trace_format: Option<Format>,

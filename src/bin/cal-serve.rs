@@ -115,22 +115,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cal::cli::{
-    install_shutdown_handler, parse_seed, shutdown_requested, EXIT_ACCEPTED, EXIT_ERROR,
-    EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
+    install_shutdown_handler, parse_seed, select_spec, shutdown_requested, LoadedSpecs,
+    SpecVisitor, EXIT_ACCEPTED, EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
 };
 use cal::core::check::CheckOptions;
-use cal::core::dsl;
 use cal::core::format::{Format, StreamDecoder, WireItem};
-use cal::core::spec::{CaSpec, SeqAsCa};
+use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict, UndecidedWhy};
 use cal::core::{ObjectId, ThreadId};
-use cal::specs::dual_stack::DualStackSpec;
-use cal::specs::elim_array::ElimArraySpec;
-use cal::specs::exchanger::ExchangerSpec;
-use cal::specs::kv::KvMapSpec;
-use cal::specs::register::{CounterSpec, RegisterSpec};
-use cal::specs::stack::StackSpec;
-use cal::specs::sync_queue::SyncQueueSpec;
 use parking_lot::Mutex;
 
 /// Broken-pipe-safe printing, same contract as `cal-check`: `io::Error`
@@ -288,60 +280,38 @@ fn try_main() -> io::Result<ExitCode> {
     // `--spec` loads and compiles before any event is read, so a bad
     // .cal file fails fast with its diagnostic (exit 3). Loaded names
     // shadow built-ins, same policy as cal-check.
-    if let Some(path) = &spec_file {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                errln!("cal-serve: cannot read {path}: {e}")?;
-                return Ok(ExitCode::from(EXIT_ERROR));
-            }
-        };
-        let loaded = match dsl::parse_str(&src) {
-            Ok(f) => f,
-            Err(diag) => {
-                errln!("cal-serve: {path}: {diag}")?;
-                return Ok(ExitCode::from(EXIT_ERROR));
-            }
-        };
-        let def = match (&spec_name, loaded.specs()) {
-            (Some(name), _) => match loaded.get(name) {
-                Some(def) => Some(Arc::clone(def)),
-                None => None, // fall through to the built-in dispatch
-            },
-            (None, [only]) => Some(Arc::clone(only)),
-            (None, many) => {
-                errln!(
-                    "cal-serve: {path} defines {} specs ({}); name one as the SPEC argument",
-                    many.len(),
-                    loaded.names().join(", ")
-                )?;
-                return usage();
-            }
-        };
-        if let Some(def) = def {
-            install_shutdown_handler();
-            return run(def.to_ca(cfg.object), &cfg);
-        }
-    }
-    let Some(spec_name) = spec_name else {
+    let loaded = match spec_file.as_deref().map(|p| LoadedSpecs::load("cal-serve", p)) {
+        Some(Ok(l)) => Some(l),
+        Some(Err(code)) => return Ok(ExitCode::from(code)),
+        None => None,
+    };
+    let Some(selected) = select_spec("cal-serve", loaded.as_ref(), spec_name.as_deref()) else {
         return usage();
     };
-    install_shutdown_handler();
-    let o = cfg.object;
-    match spec_name.as_str() {
-        "exchanger" => run(ExchangerSpec::new(o), &cfg),
-        "elim-array" => run(ElimArraySpec::new(o), &cfg),
-        "sync-queue" => run(SyncQueueSpec::new(o), &cfg),
-        "dual-stack" => run(DualStackSpec::with_timeouts(o), &cfg),
-        "stack" => run(SeqAsCa::new(StackSpec::total(o)), &cfg),
-        "failing-stack" => run(SeqAsCa::new(StackSpec::failing(o)), &cfg),
-        "register" => run(SeqAsCa::new(RegisterSpec::new(o)), &cfg),
-        "counter" => run(SeqAsCa::new(CounterSpec::new(o)), &cfg),
-        "kv" => run(SeqAsCa::new(KvMapSpec::new()), &cfg),
-        other => {
-            errln!("cal-serve: unknown spec {other:?}")?;
-            usage()
-        }
+    selected.visit(cfg.object, Serve { cfg: &cfg, name: selected.name() })
+}
+
+/// Runs the stream checker over the selected spec, sequential specs
+/// lifted to singleton elements.
+struct Serve<'a> {
+    cfg: &'a Cfg,
+    name: &'a str,
+}
+
+impl SpecVisitor for Serve<'_> {
+    type Output = io::Result<ExitCode>;
+
+    fn ca<S: CaSpec + Send + 'static>(self, spec: S) -> Self::Output {
+        run(spec, self.cfg)
+    }
+
+    fn seq<S: SeqSpec + Send + 'static>(self, spec: S) -> Self::Output {
+        run(SeqAsCa::new(spec), self.cfg)
+    }
+
+    fn interval<S>(self, _: S) -> Self::Output {
+        errln!("cal-serve: spec {:?} is interval-native; streams check CAL", self.name)?;
+        usage()
     }
 }
 
@@ -350,6 +320,7 @@ where
     S: CaSpec + Send + 'static,
     S::State: Send,
 {
+    install_shutdown_handler();
     let options = StreamOptions {
         max_window: cfg.window,
         checkpoint_every: cfg.checkpoint_every,

@@ -22,8 +22,9 @@
 //! same compile-before-input contract as `cal-check`/`cal-serve`: the file
 //! compiles before any run starts, and a compile failure prints its
 //! diagnostic and exits 3. A multi-spec file needs `--spec-name` to pick
-//! one. Because the loaded spec replaces the per-target built-ins, `--spec`
-//! requires a single explicit `--target` (not `all`).
+//! one; a missing pick, or a name the file lacks, is a usage error
+//! (exit 4). Because the loaded spec replaces the per-target built-ins,
+//! `--spec` requires a single explicit `--target` (not `all`).
 //!
 //! `--threads` sizes the *workload*; `--check-threads` sizes the CAL
 //! checker run on each harvested history (> 1 engages the parallel
@@ -49,18 +50,16 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
-
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cal::chaos::driver::{soak_interruptible, Mode, RunConfig, SoakResult, TargetKind};
 use cal::chaos::Profile;
 use cal::cli::{
-    install_shutdown_handler, parse_seed, shutdown_requested, EXIT_ERROR, EXIT_REJECTED,
-    EXIT_USAGE,
+    install_shutdown_handler, parse_seed, select_spec, shutdown_requested, LoadedSpecs,
+    EXIT_REJECTED, EXIT_USAGE,
 };
 use cal::core::check::CheckStats;
-use cal::core::dsl;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -196,42 +195,18 @@ fn main() -> ExitCode {
             eprintln!("chaos-soak: --spec requires a single explicit --target");
             return usage();
         }
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("chaos-soak: cannot read {path}: {e}");
-                return ExitCode::from(EXIT_ERROR);
-            }
+        let loaded = match LoadedSpecs::load("chaos-soak", path) {
+            Ok(l) => l,
+            Err(code) => return ExitCode::from(code),
         };
-        let loaded = match dsl::parse_str(&src) {
-            Ok(f) => f,
-            Err(diag) => {
-                eprintln!("chaos-soak: {path}: {diag}");
-                return ExitCode::from(EXIT_ERROR);
-            }
+        let Some(selected) = select_spec("chaos-soak", Some(&loaded), spec_name.as_deref()) else {
+            return usage();
         };
-        let def = match (&spec_name, loaded.specs()) {
-            (Some(name), _) => match loaded.get(name) {
-                Some(def) => Arc::clone(def),
-                None => {
-                    eprintln!(
-                        "chaos-soak: {path} defines no spec {name:?} (has: {})",
-                        loaded.names().join(", ")
-                    );
-                    return ExitCode::from(EXIT_ERROR);
-                }
-            },
-            (None, [only]) => Arc::clone(only),
-            (None, many) => {
-                eprintln!(
-                    "chaos-soak: {path} defines {} specs ({}); pick one with --spec-name",
-                    many.len(),
-                    loaded.names().join(", ")
-                );
-                return ExitCode::from(EXIT_ERROR);
-            }
+        let Some(def) = selected.loaded_def() else {
+            eprintln!("chaos-soak: {path} defines no spec {:?}", selected.name());
+            return usage();
         };
-        config.spec = Some(def);
+        config.spec = Some(Arc::clone(def));
     } else if spec_name.is_some() {
         return usage(); // --spec-name is meaningless without --spec
     }

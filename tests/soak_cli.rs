@@ -1,6 +1,6 @@
 //! `chaos-soak --spec`: runtime-loaded `.cal` specs drive the soak
-//! check, with the same compile-before-input exit-3 contract as
-//! `cal-check` and `cal-serve`.
+//! check, with the same compile-before-input exit-3 contract and the
+//! same spec-selection exit-4 contract as `cal-check` and `cal-serve`.
 
 use std::process::{Command, Output, Stdio};
 
@@ -52,13 +52,38 @@ fn missing_spec_file_exits_three() {
 }
 
 /// The loaded spec replaces the per-target built-ins, so it needs one
-/// explicit target: bare `--spec` (implicit `all`) is a usage error.
+/// explicit target and one spec picked from the file. Each miss is a
+/// usage error (exit 4), as in `cal-check` and `cal-serve`: bare `--spec`
+/// (implicit `all`), `--spec-name` without `--spec`, a multi-spec file
+/// with no `--spec-name`, and a `--spec-name` the file lacks.
 #[test]
 fn spec_without_single_target_is_usage_error() {
-    let out = run(&["--spec", &spec("exchanger.cal"), "--secs", "1"]);
-    assert_eq!(out.status.code(), Some(4), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let orphan = run(&["--spec-name", "exchanger", "--target", "exchanger", "--secs", "1"]);
-    assert_eq!(orphan.status.code(), Some(4), "--spec-name without --spec");
+    let dir = std::env::temp_dir().join(format!("soak-cli-two-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let two = dir.join("two.cal");
+    let both = [spec("exchanger.cal"), spec("register.cal")]
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .join("\n");
+    std::fs::write(&two, both).unwrap();
+    let two = two.to_str().unwrap();
+    let exchanger = spec("exchanger.cal");
+    let rows: [(&str, &[&str]); 4] = [
+        ("--spec without --target", &["--spec", &exchanger, "--secs", "1"]),
+        ("--spec-name without --spec", &["--spec-name", "exchanger", "--target", "exchanger"]),
+        ("two specs, no --spec-name", &["--spec", two, "--target", "exchanger", "--secs", "1"]),
+        (
+            "--spec-name the file lacks",
+            &["--spec", &exchanger, "--spec-name", "counter", "--target", "exchanger"],
+        ),
+    ];
+    for (case, args) in rows {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{case}: stderr {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("soaking"), "{case}: no run may start: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The loaded exchanger spec soaks the healthy exchanger clean (exit 0)

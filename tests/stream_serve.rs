@@ -113,6 +113,35 @@ fn usage_errors_exit_four() {
     }
 }
 
+/// `--spec` end to end: the loaded register spec judges a stream, a SPEC
+/// name the file lacks falls back to the built-in of that name, and a
+/// multi-spec file with no SPEC to pick one is a usage error.
+#[test]
+fn loaded_spec_file_serves_a_stream() {
+    let register = format!("{}/specs/register.cal", env!("CARGO_MANIFEST_DIR"));
+    let consistent = "t1 inv o0.write 2\nt1 res o0.write ()\nt2 inv o0.read ()\nt2 res o0.read 2\n";
+    let out = serve(&["--spec", &register, "--quiet"], consistent);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stale = "t1 inv o0.write 2\nt1 res o0.write ()\nt2 inv o0.read ()\nt2 res o0.read 1\n";
+    let out = serve(&["--spec", &register, "--quiet"], stale);
+    assert_eq!(out.status.code(), Some(1), "a stale read is a violation");
+    // `counter` is not in register.cal: the built-in counter checks the
+    // increments, which the loaded register spec would reject.
+    let incs = "t1 inv o0.inc ()\nt1 res o0.inc 0\nt2 inv o0.inc ()\nt2 res o0.inc 1\n";
+    let out = serve(&["counter", "--spec", &register, "--quiet"], incs);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let dir = std::env::temp_dir().join(format!("serve-spec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let two = dir.join("two.cal");
+    let counter = format!("{}/specs/counter.cal", env!("CARGO_MANIFEST_DIR"));
+    let both = [register, counter].map(|p| std::fs::read_to_string(p).unwrap()).join("\n");
+    std::fs::write(&two, both).unwrap();
+    let out = serve(&["--spec", two.to_str().unwrap(), "--quiet"], consistent);
+    assert_eq!(out.status.code(), Some(4), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A producer that stalls longer than the daemon's internal poll
 /// interval must not wedge or error the stream.
 #[test]
